@@ -8,22 +8,12 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import io
 from .compose import ComposeSpec, compose12
 from .core import dephase, fingerprint, is_hadamard, modulus_defect, unitarity_defect
 from .equivalence import are_equivalent
 from .errors import HadamardError, SingularZ
-from .families import (
-    border_h,
-    dita_corner,
-    dita_d6,
-    family_h,
-    fourier_f6,
-    self_adjoint_h,
-    symmetric_m,
-)
+from .families import FAMILIES, family_h
 from .search import SearchConfig, classify, project_search
 
 DEFAULT_CLI_TOL = 1e-10
@@ -47,30 +37,23 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _angle(value, turns):
-    return value * 2 * math.pi if turns else value
+def _positive_int(text):
+    """argparse type for counts: anything but an integer >= 1 is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _cmd_gen(args):
-    t = args.turns
-    family = args.family
-    if family == "f6":
-        m = fourier_f6(_angle(args.a, t), _angle(args.b, t))
-    elif family == "f6t":
-        m = fourier_f6(_angle(args.a, t), _angle(args.b, t)).T
-    elif family == "d6":
-        m = dita_d6(_angle(args.c, t))
-    elif family == "h":
-        m = family_h(_angle(args.x1, t), _angle(args.x2, t))
-    elif family == "sym":
-        m = symmetric_m(_angle(args.x, t))
-    elif family == "selfadj":
-        m = self_adjoint_h(_angle(args.x, t))
-    elif family == "corner":
-        m = dita_corner(_angle(args.x, t))
-    else:
-        m = border_h(args.axis, _angle(args.x, t))
-    _emit(io.dumps(io.matrix_to_obj(m)), args.out)
+    build, names = FAMILIES[args.family]
+    values = [getattr(args, name) for name in names]
+    if args.turns:  # border's axis is a string, every other parameter an angle
+        values = [v if isinstance(v, str) else v * 2 * math.pi for v in values]
+    _emit(io.dumps(io.matrix_to_obj(build(*values))), args.out)
     return 0
 
 
@@ -196,11 +179,7 @@ def _build_parser():
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("gen", help="construct a family member as matrix JSON")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=["f6", "f6t", "d6", "h", "sym", "selfadj", "corner", "border"],
-    )
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--c", type=float, default=0.0)
@@ -240,7 +219,7 @@ def _build_parser():
 
     p = sub.add_parser("scan", help="defect CSV over the two-parameter grid")
     p.add_argument("--family", choices=["h"], default="h")
-    p.add_argument("--grid", type=int, default=33)
+    p.add_argument("--grid", type=_positive_int, default=33)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_scan)
 
@@ -248,13 +227,13 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--runs", type=int, default=1)
+    p.add_argument("--runs", type=_positive_int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("classify", help="label a matrix against the known families")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--grid", type=int, default=24)
+    p.add_argument("--grid", type=_positive_int, default=24)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_classify)
 

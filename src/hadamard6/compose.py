@@ -7,13 +7,10 @@ import numpy as np
 
 from .core import as_matrix, is_hadamard
 from .errors import NotHadamard, UnknownFamily
-from .families import family_h, fourier_f6
+from .families import FAMILIES
 
-_BUILDERS = {
-    "f6": lambda params: fourier_f6(*params),
-    "f6t": lambda params: fourier_f6(*params).T,
-    "h": lambda params: family_h(*params),
-}
+# the two-parameter families (border's second parameter is its axis string)
+_TWO_PARAMETER = {t: f for t, f in FAMILIES.items() if len(f[1]) == 2 and "axis" not in f[1]}
 
 
 @dataclass
@@ -26,14 +23,17 @@ class ComposeSpec:
 
     @classmethod
     def from_dict(cls, obj):
-        h1, h2 = obj["h1"], obj["h2"]
-        return cls(
-            family1=str(h1["family"]),
-            params1=tuple(float(x) for x in h1["params"]),
-            family2=str(h2["family"]),
-            params2=tuple(float(x) for x in h2["params"]),
-            deltas=tuple(float(x) for x in obj["deltas"]),
-        )
+        try:
+            h1, h2 = obj["h1"], obj["h2"]
+            return cls(
+                family1=str(h1["family"]),
+                params1=tuple(float(x) for x in h1["params"]),
+                family2=str(h2["family"]),
+                params2=tuple(float(x) for x in h2["params"]),
+                deltas=tuple(float(x) for x in obj["deltas"]),
+            )
+        except TypeError:  # a number or list where the spec needs a list or object
+            raise ValueError("malformed compose spec") from None
 
     def to_dict(self):
         return {
@@ -45,10 +45,12 @@ class ComposeSpec:
 
 def _build(family, params):
     try:
-        builder = _BUILDERS[family]
+        build, names = _TWO_PARAMETER[family]
     except KeyError:
-        raise UnknownFamily(f"family {family!r} not one of {sorted(_BUILDERS)}") from None
-    return builder(params)
+        raise UnknownFamily(f"family {family!r} not one of {sorted(_TWO_PARAMETER)}") from None
+    if len(params) != len(names):
+        raise ValueError(f"family {family!r} takes params {names}, got {len(params)} values")
+    return build(*params)
 
 
 def block_compose(h1, h2, deltas):
@@ -70,6 +72,4 @@ def compose12(spec):
     for name, h in (("h1", h1), ("h2", h2)):
         if not is_hadamard(h, 1e-10):
             raise NotHadamard(f"{name} is not Hadamard within 1e-10")
-    if len(spec.deltas) != 5:
-        raise ValueError(f"need 5 deltas, got {len(spec.deltas)}")
     return block_compose(h1, h2, spec.deltas)

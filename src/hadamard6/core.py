@@ -143,9 +143,9 @@ class Fingerprint:
 
 @lru_cache(maxsize=None)
 def _quadruple_indices(n):
-    pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
-    i, k = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-    return i, k
+    """Integer index arrays (i, k) of the ordered pairs i != k, row-major;
+    empty for n = 1."""
+    return np.nonzero(~np.eye(n, dtype=bool))
 
 
 def fingerprint(m, precision=FINGERPRINT_PRECISION):

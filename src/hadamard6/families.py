@@ -260,3 +260,16 @@ def border_h(which, x):
     if which == "x2":
         return family_h(np.pi / 2, x)
     raise ValueError(f"which must be 'x1' or 'x2', got {which!r}")
+
+
+# tag -> (constructor, parameter names); all angles but border's axis string
+FAMILIES = {
+    "f6": (fourier_f6, ("a", "b")),
+    "f6t": (lambda a, b: fourier_f6(a, b).T, ("a", "b")),
+    "d6": (dita_d6, ("c",)),
+    "h": (family_h, ("x1", "x2")),
+    "sym": (symmetric_m, ("x",)),
+    "selfadj": (self_adjoint_h, ("x",)),
+    "corner": (dita_corner, ("x",)),
+    "border": (border_h, ("axis", "x")),
+}

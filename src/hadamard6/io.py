@@ -26,16 +26,22 @@ def matrix_from_obj(obj):
         raise ValueError("matrix object must be a dict with an 'n' field")
     n = int(obj["n"])
     if "phase_turns" in obj:
-        turns = np.array(obj["phase_turns"], dtype=float)
-        m = np.exp(2j * np.pi * turns)
+        m = np.exp(2j * np.pi * _finite(obj["phase_turns"]))
     elif "re" in obj and "im" in obj:
-        m = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
+        m = _finite(obj["re"]) + 1j * _finite(obj["im"])
     else:
         raise ValueError("matrix object needs 're'/'im' or 'phase_turns'")
     m = as_matrix(m)
     if m.shape[0] != n:
         raise ValueError(f"declared n={n} but entries are {m.shape[0]}x{m.shape[1]}")
     return m
+
+
+def _finite(entries):
+    a = np.array(entries, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
 
 
 def witness_to_obj(w):
@@ -66,8 +72,9 @@ def witness_from_obj(obj):
 
 
 def dumps(obj):
-    """Deterministic JSON text (sorted keys, trailing newline)."""
-    return json.dumps(obj, sort_keys=True) + "\n"
+    """Deterministic strict JSON text (sorted keys, no NaN or Infinity,
+    trailing newline)."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
 def read_matrix(path):

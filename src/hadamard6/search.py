@@ -163,23 +163,18 @@ _FOURIER_SHIFT = np.pi / 3
 
 
 def _fourier_canonical(a, b):
-    """Lexicographic-min representative of the verified parameter orbit:
+    """Representative of the verified parameter orbit
     (a,b) ~ (a + k pi/3, b - k pi/3) ~ (a + pi, b) ~ (a, b + pi) ~ (-a, -b)
-    ~ (b, a), all mod 2 pi."""
-    two_pi = 2 * np.pi
-    best = None
-    for swap in (False, True):
-        u, v = (b, a) if swap else (a, b)
-        for neg in (1, -1):
-            for j in range(6):
-                for k1 in (0, 1):
-                    for k2 in (0, 1):
-                        aa = (neg * u + j * _FOURIER_SHIFT + k1 * np.pi) % two_pi
-                        bb = (neg * v - j * _FOURIER_SHIFT + k2 * np.pi) % two_pi
-                        key = (round(aa, 9), round(bb, 9))
-                        if best is None or key < best[0]:
-                            best = (key, (aa, bb))
-    return best[1]
+    ~ (b, a) ~ (b - a, b): of all images reduced mod pi, the smallest a, then
+    the larger of the two b that go with it, b and (a - b) mod pi."""
+    images = []
+    # the identity and the order-3 rotations (a, b) -> (b - a, -a), (-b, a - b)
+    for p, q in ((a, b), (b - a, -a), (-b, a - b)):
+        for u, v in ((p, q), (q, p), (-p, -q), (-q, -p)):
+            for t in (0.0, _FOURIER_SHIFT, 2 * _FOURIER_SHIFT):
+                images.append(((u + t) % np.pi, (v - t) % np.pi))
+    a, b = min(images)
+    return a, max(b, (a - b) % np.pi)
 
 
 def _sign_swap_images(p):

@@ -3,7 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from hadamard6 import apply_equivalence, family_h, fourier_f6, is_hadamard
+from hadamard6 import (
+    apply_equivalence,
+    border_h,
+    dita_corner,
+    dita_d6,
+    family_h,
+    fourier_f6,
+    is_hadamard,
+    self_adjoint_h,
+    symmetric_m,
+)
 from hadamard6 import io
 from hadamard6.cli import main
 
@@ -42,6 +52,21 @@ def test_gen_stdout_parses(capsys):
     assert code == 0
     m = io.matrix_from_obj(json.loads(out))
     assert np.max(np.abs(m - family_h(0.3, 0.2))) < 1e-15
+    # every tag writes exactly the bytes of its constructor's matrix
+    for args, m in (
+        (["--family", "f6", "--a", "0.4", "--b", "0.9"], fourier_f6(0.4, 0.9)),
+        (["--family", "f6t", "--a", "0.4", "--b", "0.9"], fourier_f6(0.4, 0.9).T),
+        (["--family", "d6", "--c", "0.2"], dita_d6(0.2)),
+        (["--family", "h", "--x1", "0.3", "--x2", "0.2"], family_h(0.3, 0.2)),
+        (["--family", "sym", "--x", "0.7"], symmetric_m(0.7)),
+        (["--family", "selfadj", "--x", "0.5"], self_adjoint_h(0.5)),
+        (["--family", "corner", "--x", "0.1"], dita_corner(0.1)),
+        (["--family", "border", "--axis", "x2", "--x", "0.3"], border_h("x2", 0.3)),
+        (["--family", "border", "--x", "0.3"], border_h("x1", 0.3)),
+    ):
+        code, out, err = run(capsys, "gen", *args)
+        assert (code, err) == (0, "")
+        assert out == io.dumps(io.matrix_to_obj(m))
 
 
 def test_gen_turns(capsys):
@@ -217,3 +242,64 @@ def test_usage_exit_code(capsys):
     assert code == 2
     code, _, _ = run(capsys, "gen")  # --family is required
     assert code == 2
+
+
+def test_compose12_malformed_spec(tmp_path, capsys):
+    good = {
+        "h1": {"family": "f6", "params": [0.1, 0.2]},
+        "h2": {"family": "h", "params": [0.3, 0.2]},
+        "deltas": [0.1, 0.2, 0.3, 0.4, 0.5],
+    }
+    path = tmp_path / "spec.json"
+    for spec in (dict(good, h1={"family": "f6", "params": 5}), dict(good, h1=5), [1, 2]):
+        path.write_text(json.dumps(spec))
+        assert run(capsys, "compose12", "--spec", str(path)) == (1, "", "ValueError\n")
+
+
+def test_compose12_wrong_param_count(tmp_path, capsys):
+    spec = {
+        "h1": {"family": "f6", "params": [0.1]},
+        "h2": {"family": "h", "params": [0.3, 0.2]},
+        "deltas": [0.1, 0.2, 0.3, 0.4, 0.5],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run(capsys, "compose12", "--spec", str(path)) == (1, "", "ValueError\n")
+
+
+def test_nan_entry_rejected(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 2, "re": [[1.0, 1.0], [1.0, NaN]], "im": [[0.0, 0.0], [0.0, 0.0]]}')
+    for verb in ("verify", "dephase"):
+        assert run(capsys, verb, "--in", str(path)) == (1, "", "ValueError\n")
+    path.write_text('{"n": 2, "phase_turns": [[0.0, 0.0], [0.0, NaN]]}')
+    assert run(capsys, "verify", "--in", str(path)) == (1, "", "ValueError\n")
+    with pytest.raises(ValueError):
+        io.dumps({"modulus_defect": float("nan")})
+
+
+def test_search_runs_must_be_positive(capsys):
+    for runs in ("0", "-1"):
+        code, out, _ = run(capsys, "search", "--runs", runs)
+        assert (code, out) == (2, "")
+
+
+def test_scan_grid_must_be_positive(capsys):
+    for grid in ("0", "-3"):
+        code, out, _ = run(capsys, "scan", "--grid", grid)
+        assert (code, out) == (2, "")
+
+
+def test_classify_grid_must_be_positive(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    io.write_matrix(str(path), dita_d6(0.2))
+    code, out, _ = run(capsys, "classify", "--in", str(path), "--grid", "0")
+    assert (code, out) == (2, "")
+
+
+def test_fingerprint_order_one(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text('{"n": 1, "re": [[1.0]], "im": [[0.0]]}')
+    code, out, err = run(capsys, "fingerprint", "--in", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"precision": 8, "values": []}

@@ -14,6 +14,7 @@ from hadamard6 import (
     project_search,
     unitarity_defect,
 )
+from hadamard6.search import _fourier_canonical
 
 # symmetric matrix with entries in the cube roots of unity; lies outside
 # every family the classifier knows
@@ -96,6 +97,14 @@ def test_classify_fourier_and_transpose():
     ct = classify(fourier_f6(0.4, 0.9).T)
     assert ct.label == "F6T-slice"
     assert np.max(np.abs(np.array(ct.params) - (0.1471975, 1.6943951))) < 1e-3
+
+
+def test_fourier_canonical_is_orbit_invariant():
+    # (a, b) and (b - a, b) are the same Fourier-family member up to equivalence
+    for a, b in ((0.4, 0.9), (0.4804, 0.6852), (-1.3, 2.2), (5.1, 0.35)):
+        one = np.array(_fourier_canonical(a, b))
+        assert np.max(np.abs(one - _fourier_canonical(b - a, b))) < 1e-12
+        assert np.max(np.abs(one - _fourier_canonical(b, a))) < 1e-12
 
 
 def test_classify_outside_known_families():
