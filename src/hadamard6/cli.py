@@ -10,7 +10,8 @@ import sys
 
 from . import io
 from .compose import ComposeSpec, compose12
-from .core import dephase, fingerprint, is_hadamard, modulus_defect, unitarity_defect
+from .core import FINGERPRINT_PRECISION, dephase, fingerprint, is_hadamard
+from .core import modulus_defect, unitarity_defect
 from .equivalence import are_equivalent
 from .errors import HadamardError, SingularZ
 from .families import FAMILIES, family_h
@@ -213,7 +214,7 @@ def _build_parser():
 
     p = sub.add_parser("fingerprint", help="equivalence-invariant phase multiset")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--precision", type=int, default=8)
+    p.add_argument("--precision", type=int, default=FINGERPRINT_PRECISION)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fingerprint)
 

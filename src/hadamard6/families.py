@@ -199,6 +199,41 @@ def reduce_params(x1, x2):
     return (r1, r2), w
 
 
+_FOURIER_SHIFT = np.pi / 3
+
+
+def _fourier_canonical(a, b):
+    """Representative of the verified parameter orbit
+    (a,b) ~ (a + k pi/3, b - k pi/3) ~ (a + pi, b) ~ (a, b + pi) ~ (-a, -b)
+    ~ (b, a) ~ (b - a, b): of all images reduced mod pi, the smallest a, then
+    the larger of the two b that go with it, b and (a - b) mod pi."""
+    images = []
+    # the identity and the order-3 rotations (a, b) -> (b - a, -a), (-b, a - b)
+    for p, q in ((a, b), (b - a, -a), (-b, a - b)):
+        for u, v in ((p, q), (q, p), (-p, -q), (-q, -p)):
+            for t in (0.0, _FOURIER_SHIFT, 2 * _FOURIER_SHIFT):
+                images.append(((u + t) % np.pi, (v - t) % np.pi))
+    a, b = min(images)
+    return a, max(b, (a - b) % np.pi)
+
+
+def _sign_swap_images(p):
+    """The distinct points of the H-family orbit {(+-u, +-v), (+-v, +-u)} of
+    p = (u, v): the sign flips give matrices equivalent to family_h(u, v),
+    the swaps matrices equivalent to its transpose."""
+    u, v = p
+    seen, out = set(), []
+    for q in (
+        (u, v), (-u, -v), (u, -v), (-u, v),
+        (v, u), (-v, -u), (v, -u), (-v, u),
+    ):
+        key = (round(q[0], 9), round(q[1], 9))
+        if key not in seen:
+            seen.add(key)
+            out.append(q)
+    return out
+
+
 def _g_factors(x):
     c2 = math.cos(x) ** 2
     if c2 <= _SINGULAR_GUARD:

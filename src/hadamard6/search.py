@@ -2,7 +2,7 @@
 of order-6 matrices against the known families by fingerprint distance."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
@@ -11,6 +11,7 @@ import numpy as np
 from .core import as_matrix, fingerprint, is_hadamard, modulus_defect, unitarity_defect
 from .equivalence import are_equivalent
 from .errors import NotHadamard, OrderUnsupported, SingularZ
+from .families import _fourier_canonical, _sign_swap_images
 from .families import dita_d6, family_h, fourier_f6, reduce_params
 
 CLASSIFY_PRECISION = 6
@@ -81,7 +82,14 @@ def project_search(cfg=None):
     return SearchResult(best_m, cfg.max_iter, best_d, False)
 
 
-def _refine(dist, p0, w0, lo, hi, wmin=2e-7, max_evals=4000):
+_REFINE_WMIN = 2e-7
+_REFINE_MAX_EVALS = 4000
+_MICROSCAN_STEP = 0.002
+_MICROSCAN_OFFSETS = np.arange(-0.05, 0.05 + _MICROSCAN_STEP / 2, _MICROSCAN_STEP)
+_MAX_RESCUES = 3
+
+
+def _refine(dist, p0, w0, lo, hi):
     """Compass search on a rugged objective: step to the first improving
     neighbor, halve the step when none improves."""
     p = np.asarray(p0, dtype=float)
@@ -89,7 +97,7 @@ def _refine(dist, p0, w0, lo, hi, wmin=2e-7, max_evals=4000):
     best = dist(p)
     steps = [np.array(s, dtype=float) for s in product((-1, 0, 1), repeat=p.size) if any(s)]
     evals = 0
-    while w > wmin and evals < max_evals:
+    while w > _REFINE_WMIN and evals < _REFINE_MAX_EVALS:
         improved = False
         for s in steps:
             cand = np.clip(p + w * s, lo, hi)
@@ -103,13 +111,12 @@ def _refine(dist, p0, w0, lo, hi, wmin=2e-7, max_evals=4000):
     return p, best
 
 
-def _candidates(dist, cells, w0, lo, hi, k_cells, k_out, canon=None):
+def _candidates(dist, cells, w0, lo, hi, k_cells, k_out, canon):
     """Refine the best k_cells grid cells, dedupe, keep k_out by distance.
 
     canon maps a point to a representative of its symmetry orbit; without it
     the images of one false minimum can crowd out the true basin.
     """
-    canon = canon or (lambda p: p)
     vals = np.array([dist(np.asarray(c, dtype=float)) for c in cells])
     order = np.argsort(vals, kind="stable")[:k_cells]
     out = []
@@ -124,18 +131,13 @@ def _candidates(dist, cells, w0, lo, hi, k_cells, k_out, canon=None):
     return sorted(((p, d) for _, p, d in out), key=lambda t: (t[1], t[0]))
 
 
-def _microscan(dist, p, lo, hi, radius=0.05, step=0.002):
+def _microscan(dist, p, lo, hi):
     """Dense local sampling. The distance surface is a cluster of narrow
     V-shaped wells; compass steps can converge on a false floor a few
     hundredths away from the true zero, so near misses get swept densely."""
     p = np.asarray(p, dtype=float)
-    offs = np.arange(-radius, radius + step / 2, step)
     best_p, best_d = p, dist(p)
-    if p.size == 1:
-        grid = [(o,) for o in offs]
-    else:
-        grid = product(offs, repeat=p.size)
-    for off in grid:
+    for off in product(_MICROSCAN_OFFSETS, repeat=p.size):
         cand = np.clip(p + np.asarray(off), lo, hi)
         d = dist(cand)
         if d < best_d:
@@ -143,52 +145,57 @@ def _microscan(dist, p, lo, hi, radius=0.05, step=0.002):
     return best_p, best_d
 
 
-def _polish(dist, cands, lo, hi, threshold, max_rescues=3):
+def _polish(dist, cands, lo, hi, threshold):
     """Rescue near-miss candidates (above threshold but within two orders)
     with a microscan plus a fine re-refine."""
     out = []
     rescues = 0
     for p, d in cands:
-        if threshold < d <= 100 * threshold and rescues < max_rescues:
+        if threshold < d <= 100 * threshold and rescues < _MAX_RESCUES:
             rescues += 1
             p2, d2 = _microscan(dist, p, lo, hi)
             if d2 < d:
-                p2, d2 = _refine(dist, p2, 0.002, lo, hi)
+                p2, d2 = _refine(dist, p2, _MICROSCAN_STEP, lo, hi)
                 p, d = tuple(float(x) for x in p2), float(d2)
         out.append((p, d))
     return sorted(out, key=lambda t: (t[1], t[0]))
 
 
-_FOURIER_SHIFT = np.pi / 3
+def _h_images(p):
+    for q in _sign_swap_images(p):
+        try:
+            candidate = family_h(*q)
+        except SingularZ:
+            continue
+        yield reduce_params(abs(q[0]), abs(q[1]))[0], candidate
 
 
-def _fourier_canonical(a, b):
-    """Representative of the verified parameter orbit
-    (a,b) ~ (a + k pi/3, b - k pi/3) ~ (a + pi, b) ~ (a, b + pi) ~ (-a, -b)
-    ~ (b, a) ~ (b - a, b): of all images reduced mod pi, the smallest a, then
-    the larger of the two b that go with it, b and (a - b) mod pi."""
-    images = []
-    # the identity and the order-3 rotations (a, b) -> (b - a, -a), (-b, a - b)
-    for p, q in ((a, b), (b - a, -a), (-b, a - b)):
-        for u, v in ((p, q), (q, p), (-p, -q), (-q, -p)):
-            for t in (0.0, _FOURIER_SHIFT, 2 * _FOURIER_SHIFT):
-                images.append(((u + t) % np.pi, (v - t) % np.pi))
-    a, b = min(images)
-    return a, max(b, (a - b) % np.pi)
-
-
-def _sign_swap_images(p):
-    u, v = p
-    seen, out = set(), []
-    for q in (
-        (u, v), (-u, -v), (u, -v), (-u, v),
-        (v, u), (-v, -u), (v, -u), (-v, u),
-    ):
-        key = (round(q[0], 9), round(q[1], 9))
-        if key not in seen:
-            seen.add(key)
-            out.append(q)
-    return out
+# One stage per family, tried in this order: the builder, the box
+# [lo, hi]^dim gridded for the scan, how many grid cells to refine (k_cells)
+# and distinct fits to keep (k_out), the orbit canonicaliser that tells fits
+# apart, and the (label, images) pairs tried on every fit within the
+# threshold in turn. images(p) yields (reported params, the matrix the query
+# must be equivalent to, or None to take the fit unconfirmed).
+_STAGES = (
+    # D6 first: corner ties break toward D6, so no equivalence gate here
+    (
+        lambda p: dita_d6(p[0]), -np.pi / 4, np.pi / 4, 1, 8, 4, np.abs,
+        (("D6", lambda p: [((abs(p[0]),), None)]),),
+    ),
+    # one Fourier scan serves both orientations (fingerprints cannot
+    # distinguish a matrix from its transpose)
+    (
+        lambda p: fourier_f6(*p), 0.0, 2 * np.pi, 2, 40, 12, lambda p: _fourier_canonical(*p),
+        (
+            ("F6-slice", lambda p: [(_fourier_canonical(*p), fourier_f6(*p))]),
+            ("F6T-slice", lambda p: [(_fourier_canonical(*p), fourier_f6(*p).T)]),
+        ),
+    ),
+    (
+        lambda p: family_h(*p), -np.pi / 2, np.pi / 2, 2, 40, 6, lambda p: sorted(np.abs(p)),
+        (("H-family", _h_images),),
+    ),
+)
 
 
 def classify(h, grid_n=24):
@@ -203,14 +210,6 @@ def classify(h, grid_n=24):
     fq = fingerprint(h, CLASSIFY_PRECISION)
     threshold = CLASSIFY_THRESHOLD_PER_VALUE * len(fq)
 
-    def family_dist(build):
-        def dist(p):
-            try:
-                return fingerprint(build(p), CLASSIFY_PRECISION).distance(fq)
-            except SingularZ:
-                return float("inf")
-        return dist
-
     def confirmed(candidate):
         return (
             are_equivalent(h, candidate, tol=_CONFIRM_TOL, screen=False).decision
@@ -218,71 +217,23 @@ def classify(h, grid_n=24):
         )
 
     best_overall = float("inf")
+    for build, lo, hi, dim, k_cells, k_out, canon, confirmations in _STAGES:
+        def dist(p, build=build):
+            try:
+                return fingerprint(build(p), CLASSIFY_PRECISION).distance(fq)
+            except SingularZ:
+                return float("inf")
 
-    # D6 first: corner ties break toward D6, so no equivalence gate here
-    d_dist = family_dist(lambda p: dita_d6(p[0]))
-    centers = [(-np.pi / 4 + (i + 0.5) * (np.pi / 2) / grid_n,) for i in range(grid_n)]
-    cands = _candidates(
-        d_dist, centers, (np.pi / 2) / grid_n, -np.pi / 4, np.pi / 4, 8, 4,
-        canon=lambda p: np.abs(p),
-    )
-    cands = _polish(d_dist, cands, -np.pi / 4, np.pi / 4, threshold)
-    best_overall = min(best_overall, cands[0][1])
-    if cands[0][1] <= threshold:
-        return Classification("D6", (abs(cands[0][0][0]),), cands[0][1])
-
-    # one Fourier scan serves both orientations (fingerprints cannot
-    # distinguish a matrix from its transpose)
-    f_dist = family_dist(lambda p: fourier_f6(p[0], p[1]))
-    step = 2 * np.pi / grid_n
-    centers = [((i + 0.5) * step, (j + 0.5) * step) for i in range(grid_n) for j in range(grid_n)]
-    cands = _candidates(
-        f_dist, centers, step, 0.0, 2 * np.pi, 40, 12,
-        canon=lambda p: _fourier_canonical(p[0], p[1]),
-    )
-    cands = _polish(f_dist, cands, 0.0, 2 * np.pi, threshold)
-    best_overall = min(best_overall, cands[0][1])
-    if cands[0][1] <= threshold:
-        for p, d in cands:
-            if d > threshold:
-                break
-            if confirmed(fourier_f6(*p)):
-                return Classification("F6-slice", _fourier_canonical(*p), d)
-        for p, d in cands:
-            if d > threshold:
-                break
-            if confirmed(fourier_f6(*p).T):
-                return Classification("F6T-slice", _fourier_canonical(*p), d)
-
-    def h_build(p):
-        return family_h(p[0], p[1])
-
-    h_dist = family_dist(h_build)
-    step = np.pi / grid_n
-    centers = [
-        (-np.pi / 2 + (i + 0.5) * step, -np.pi / 2 + (j + 0.5) * step)
-        for i in range(grid_n)
-        for j in range(grid_n)
-    ]
-    cands = _candidates(
-        h_dist, centers, step, -np.pi / 2, np.pi / 2, 40, 6,
-        canon=lambda p: sorted(np.abs(p)),
-    )
-    cands = _polish(h_dist, cands, -np.pi / 2, np.pi / 2, threshold)
-    best_overall = min(best_overall, cands[0][1])
-    if cands[0][1] <= threshold:
-        for p, d in cands:
-            if d > threshold:
-                break
-            # the zero set is the orbit {(+-u, +-v), (+-v, +-u)}; sign flips
-            # are equivalent to the query, swaps are its transpose class
-            for q in _sign_swap_images(p):
-                try:
-                    candidate = family_h(*q)
-                except SingularZ:
-                    continue
-                if confirmed(candidate):
-                    (r1, r2), _ = reduce_params(abs(q[0]), abs(q[1]))
-                    return Classification("H-family", (r1, r2), d)
+        step = (hi - lo) / grid_n
+        cells = list(product([lo + (i + 0.5) * step for i in range(grid_n)], repeat=dim))
+        cands = _candidates(dist, cells, step, lo, hi, k_cells, k_out, canon)
+        cands = _polish(dist, cands, lo, hi, threshold)
+        best_overall = min(best_overall, cands[0][1])
+        hits = [(p, d) for p, d in cands if d <= threshold]
+        for label, images in confirmations:
+            for p, d in hits:
+                for params, candidate in images(p):
+                    if candidate is None or confirmed(candidate):
+                        return Classification(label, params, d)
 
     return Classification("unknown", None, best_overall)

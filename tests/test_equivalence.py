@@ -64,6 +64,13 @@ def test_symmetry_panel():
         (fourier_f6(0.4, 0.9), fourier_f6(0.4 + np.pi / 3, 0.9 - np.pi / 3), "equivalent"),
         (fourier_f6(0.4, 0.9), fourier_f6(0.9, 0.4), "equivalent"),
         (fourier_f6(0.4, 0.9), fourier_f6(-0.4, 0.9), "inequivalent"),
+        # classify's H confirmation reads parameter swaps as the transpose class
+        (family_h(v, u), family_h(u, v).T, "equivalent"),
+        # the moves _fourier_canonical applies besides the two above
+        (fourier_f6(0.4, 0.9), fourier_f6(0.4 + np.pi, 0.9), "equivalent"),
+        (fourier_f6(0.4, 0.9), fourier_f6(0.4, 0.9 + np.pi), "equivalent"),
+        (fourier_f6(0.4, 0.9), fourier_f6(-0.4, -0.9), "equivalent"),
+        (fourier_f6(0.4, 0.9), fourier_f6(0.9 - 0.4, 0.9), "equivalent"),
     ]
     for h1, h2, expect in cases:
         res = are_equivalent(h1, h2, tol=1e-8)

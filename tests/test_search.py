@@ -6,6 +6,7 @@ from hadamard6 import (
     OrderUnsupported,
     SearchConfig,
     classify,
+    dita_corner,
     dita_d6,
     family_h,
     fourier_f6,
@@ -84,9 +85,12 @@ def test_classify_family_member():
 
 
 def test_classify_dita():
-    c = classify(dita_d6(0.2))
-    assert c.label == "D6"
-    assert abs(c.params[0] - 0.2) < 1e-3
+    # a corner member is equivalent to dita_d6(-x): the D6 stage, tried
+    # first, labels it with |c|
+    for m, c0 in ((dita_d6(0.2), 0.2), (dita_corner(0.3), 0.3)):
+        c = classify(m)
+        assert c.label == "D6"
+        assert abs(c.params[0] - c0) < 1e-3
 
 
 def test_classify_fourier_and_transpose():
