@@ -10,24 +10,22 @@ import sys
 
 from . import io
 from .compose import ComposeSpec, compose12
-from .core import FINGERPRINT_PRECISION, dephase, fingerprint, is_hadamard
+from .core import DEFAULT_TOL, FINGERPRINT_PRECISION, dephase, fingerprint, is_hadamard
 from .core import modulus_defect, unitarity_defect
 from .equivalence import are_equivalent
 from .errors import HadamardError, SingularZ
 from .families import FAMILIES, family_h
 from .search import SearchConfig, classify, project_search
 
-DEFAULT_CLI_TOL = 1e-10
-
 
 def _tol_from(args):
-    """Precedence: explicit flag, then HADAMARD_TOL env, then 1e-10."""
+    """Precedence: explicit flag, then HADAMARD_TOL env, then DEFAULT_TOL."""
     if getattr(args, "tol", None) is not None:
         return args.tol
     env = os.environ.get("HADAMARD_TOL")
     if env is not None:
         return float(env)
-    return DEFAULT_CLI_TOL
+    return DEFAULT_TOL
 
 
 def _emit(text, out_path):

@@ -41,8 +41,8 @@ def unitarity_defect(m):
 
 
 def is_hadamard(m, tol=DEFAULT_TOL):
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be a finite positive number")
     return modulus_defect(m) <= tol and unitarity_defect(m) <= tol
 
 
@@ -148,13 +148,9 @@ def _quadruple_indices(n):
     return np.nonzero(~np.eye(n, dtype=bool))
 
 
-def fingerprint(m, precision=FINGERPRINT_PRECISION):
-    """Multiset of arg(h_ij h_kl conj(h_il) conj(h_kj)) over ordered i != k, j != l.
-
-    Ordered index pairs (rather than i<k, j<l) make the multiset exactly
-    invariant under every row/column permutation and diagonal phase change:
-    those moves biject the ordered quadruples and cancel in the product.
-    """
+def _quadruple_phases(m):
+    """Unrounded phases in [0, 2pi) of h_ij h_kl conj(h_il) conj(h_kj) over
+    ordered i != k, j != l, flat and unsorted."""
     m = as_matrix(m)
     if not is_hadamard(m, FINGERPRINT_HADAMARD_TOL):
         raise NotHadamard(
@@ -168,9 +164,18 @@ def fingerprint(m, precision=FINGERPRINT_PRECISION):
         * np.conj(m[i[:, None], l[None, :]])
         * np.conj(m[k[:, None], j[None, :]])
     )
-    theta = np.angle(prod) % (2 * np.pi)
-    r = np.round(theta, precision)
+    return (np.angle(prod) % (2 * np.pi)).ravel()
+
+
+def fingerprint(m, precision=FINGERPRINT_PRECISION):
+    """Multiset of arg(h_ij h_kl conj(h_il) conj(h_kj)) over ordered i != k, j != l.
+
+    Ordered index pairs (rather than i<k, j<l) make the multiset exactly
+    invariant under every row/column permutation and diagonal phase change:
+    those moves biject the ordered quadruples and cancel in the product.
+    """
+    r = np.round(_quadruple_phases(m), precision)
     # rounding can push a phase just below 2pi up onto the branch cut
     r[r >= round(2 * np.pi, precision)] = 0.0
-    r = np.sort(r.ravel())
+    r = np.sort(r)
     return Fingerprint(tuple(float(v) for v in r), int(precision))

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import EquivalenceWitness
+from .core import EquivalenceWitness, apply_equivalence
 from .errors import InadmissibleSigns, ParamOutOfRange, SingularZ
 
 _SIXTH = np.exp(2j * np.pi / 6)
@@ -234,33 +234,9 @@ def _sign_swap_images(p):
     return out
 
 
-def _g_factors(x):
-    c2 = math.cos(x) ** 2
-    if c2 <= _SINGULAR_GUARD:
-        raise SingularZ(f"cos(x)^2 = {c2:.3e} at x = {x}")
-    r = 0.5 + 1j * math.sqrt(max(1.0 / (1 + math.sin(x) ** 2) - 0.25, 0.0))
-    g1 = (1 - 1j * math.sin(x)) * r
-    g3 = (1 + 1j * math.sin(x)) * r
-    g2 = math.cos(x) * (0.5 + 1j * math.sqrt(max(1.0 / c2 - 0.25, 0.0)))
-    return g1, g2, g3
-
-
 def symmetric_m(x):
     """The symmetric subfamily: rows 3 and 5 (0-based) of family_h(x, x) swapped."""
-    g1, g2, g3 = _g_factors(x)
-    z = np.exp(1j * x)
-    c = np.conj
-    return np.array(
-        [
-            [1, 1, 1, 1, 1, 1],
-            [1, -1, z, -z, z, -z],
-            [1, z, -z * g1, -z * g2, -z * c(g3), -z * c(g2)],
-            [1, -z, -z * g2, z * g3, -z * c(g2), z * c(g1)],
-            [1, z, -z * c(g3), -z * c(g2), -z * g1, -z * g2],
-            [1, -z, -z * c(g2), z * c(g1), -z * g2, z * g3],
-        ],
-        dtype=complex,
-    )
+    return family_h(x, x)[[0, 1, 2, 5, 4, 3]]
 
 
 def self_adjoint_h(x):
@@ -268,24 +244,17 @@ def self_adjoint_h(x):
     return family_h(x, -x)
 
 
+# dita_corner(x) is this image of dita_d6(-x)
+_CORNER_FROM_D6 = EquivalenceWitness(
+    (1, 0, 3, 2, 4, 5), (1,) * 6, (0, 1, 3, 2, 4, 5), (1, -1, 1j, -1j, 1j, -1j)
+)
+
+
 def dita_corner(x):
     """Corner-limit matrix, -pi/4 < x < pi/4; equivalent to dita_d6(-x)."""
     if not -np.pi / 4 < x < np.pi / 4:
         raise ParamOutOfRange(f"dita_corner needs -pi/4 < x < pi/4, got {x}")
-    z = np.exp(1j * x)
-    zb = np.conj(z)
-    i = 1j
-    return np.array(
-        [
-            [1, 1, 1, 1, 1, 1],
-            [1, -1, i, -i, i, -i],
-            [1, i, -i, z, -1, -z],
-            [1, -i, -zb, i, zb, -1],
-            [1, i, -1, -z, -i, z],
-            [1, -i, zb, -1, -zb, i],
-        ],
-        dtype=complex,
-    )
+    return apply_equivalence(dita_d6(-x), _CORNER_FROM_D6)
 
 
 def border_h(which, x):

@@ -24,13 +24,16 @@ def matrix_to_obj(m):
 def matrix_from_obj(obj):
     if not isinstance(obj, dict) or "n" not in obj:
         raise ValueError("matrix object must be a dict with an 'n' field")
-    n = int(obj["n"])
-    if "phase_turns" in obj:
-        m = np.exp(2j * np.pi * _finite(obj["phase_turns"]))
-    elif "re" in obj and "im" in obj:
-        m = _finite(obj["re"]) + 1j * _finite(obj["im"])
-    else:
-        raise ValueError("matrix object needs 're'/'im' or 'phase_turns'")
+    try:
+        n = int(obj["n"])
+        if "phase_turns" in obj:
+            m = np.exp(2j * np.pi * _finite(obj["phase_turns"]))
+        elif "re" in obj and "im" in obj:
+            m = _finite(obj["re"]) + 1j * _finite(obj["im"])
+        else:
+            raise ValueError("matrix object needs 're'/'im' or 'phase_turns'")
+    except TypeError:  # null, a list or an object where a number is needed
+        raise ValueError("matrix object field has the wrong JSON type") from None
     m = as_matrix(m)
     if m.shape[0] != n:
         raise ValueError(f"declared n={n} but entries are {m.shape[0]}x{m.shape[1]}")

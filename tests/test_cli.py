@@ -223,6 +223,10 @@ def test_env_tolerance(tmp_path, capsys, monkeypatch):
     # explicit flag beats the env var
     code, out, _ = run(capsys, "verify", "--in", str(path), "--tol", "1e-12")
     assert json.loads(out)["hadamard"] is False
+    # a tolerance that is not a finite positive number is an error
+    assert run(capsys, "verify", "--in", str(path), "--tol", "nan") == (1, "", "ValueError\n")
+    monkeypatch.setenv("HADAMARD_TOL", "nan")
+    assert run(capsys, "verify", "--in", str(path)) == (1, "", "ValueError\n")
 
 
 def test_module_error_exit_code(capsys):
@@ -274,6 +278,16 @@ def test_nan_entry_rejected(tmp_path, capsys):
         assert run(capsys, verb, "--in", str(path)) == (1, "", "ValueError\n")
     path.write_text('{"n": 2, "phase_turns": [[0.0, 0.0], [0.0, NaN]]}')
     assert run(capsys, "verify", "--in", str(path)) == (1, "", "ValueError\n")
+    # fields of the wrong JSON type
+    for text in (
+        '{"n": null, "re": [[1]], "im": [[0]]}',
+        '{"n": [6], "re": [[1]], "im": [[0]]}',
+        '{"n": 1, "re": {"a": 1}, "im": [[0]]}',
+    ):
+        path.write_text(text)
+        for verb in ("verify", "dephase", "fingerprint", "classify"):
+            assert run(capsys, verb, "--in", str(path)) == (1, "", "ValueError\n")
+        assert run(capsys, "equiv", "--a", str(path), "--b", str(path)) == (1, "", "ValueError\n")
     with pytest.raises(ValueError):
         io.dumps({"modulus_defect": float("nan")})
 

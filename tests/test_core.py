@@ -49,6 +49,12 @@ def test_is_hadamard():
         is_hadamard(F0, 0.0)
 
 
+def test_is_hadamard_rejects_non_finite_tol():
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            is_hadamard(F0, tol)
+
+
 def test_non_square_rejected():
     with pytest.raises(DimensionMismatch):
         modulus_defect(np.ones((2, 3)))

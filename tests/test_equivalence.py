@@ -50,6 +50,9 @@ def test_fourier_vs_dita_inequivalent():
 def test_fingerprint_match():
     assert fingerprint_match(fourier_f6(0.3, 0.3), fourier_f6(0.3, 0.3).T)
     assert not fingerprint_match(fourier_f6(0.0, 0.0), dita_d6(0.0))
+    # phases on a rounding boundary at precision 8 still match their image
+    h = family_h(0.700000005, 0.2)
+    assert fingerprint_match(h, apply_equivalence(h, random_witness(6, np.random.default_rng(1))))
     with pytest.raises(DimensionMismatch):
         fingerprint_match(fourier_f6(0.0, 0.0), np.ones((2, 2), dtype=complex))
 

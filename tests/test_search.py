@@ -38,6 +38,8 @@ def test_config_validation():
         SearchConfig(max_iter=0)
     with pytest.raises(ValueError):
         SearchConfig(tol=0.0)
+    with pytest.raises(ValueError):
+        SearchConfig(tol=float("nan"))
 
 
 def test_fixed_point_detected_without_iterating():
