@@ -6,7 +6,7 @@ when every entry has modulus 1 within t and H^dagger H / n is the identity
 within t.
 """
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -122,30 +122,72 @@ def dephase(m):
     return out, w
 
 
-@dataclass(frozen=True)
 class Fingerprint:
-    """Sorted multiset of rounded quadruple-product phases in [0, 2pi)."""
+    """Sorted multiset of rounded quadruple-product phases in [0, 2pi).
 
-    values: tuple
-    rounding: int
+    The phases are kept in `phases`, a read-only float array; `values`, the
+    same numbers as a tuple of Python floats, is built on first read.
+    Equality, hash, repr and pickling go by (values, rounding), as for a
+    frozen dataclass with those two fields, and no attribute can be set.
+    """
+
+    __slots__ = ("phases", "rounding", "_values")
+
+    def __init__(self, values, rounding):
+        phases = np.array(values, dtype=float)
+        phases.flags.writeable = False
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "rounding", rounding)
+        object.__setattr__(self, "_values", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def values(self):
+        if self._values is None:
+            object.__setattr__(self, "_values", tuple(self.phases.tolist()))
+        return self._values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.values, self.rounding) == (other.values, other.rounding)
+
+    def __hash__(self):
+        return hash((self.values, self.rounding))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(values={self.values!r}, rounding={self.rounding!r})"
+
+    def __reduce__(self):
+        return (type(self), (self.phases, self.rounding))
 
     def __len__(self):
-        return len(self.values)
+        return len(self.phases)
 
     def distance(self, other):
         """Sum of absolute differences of the sorted multisets."""
         if self.rounding != other.rounding:
             raise ValueError("fingerprints use different rounding")
-        if len(self.values) != len(other.values):
+        if len(self) != len(other):
             raise DimensionMismatch("fingerprints of different sizes")
-        return float(np.abs(np.array(self.values) - np.array(other.values)).sum())
+        return float(np.abs(self.phases - other.phases).sum())
 
 
 @lru_cache(maxsize=None)
 def _quadruple_indices(n):
-    """Integer index arrays (i, k) of the ordered pairs i != k, row-major;
-    empty for n = 1."""
-    return np.nonzero(~np.eye(n, dtype=bool))
+    """Flat indices into m.ravel() of the four factors h_ij, h_kl, h_il, h_kj,
+    shape (4, P, P) over the P = n(n-1) ordered pairs i != k (rows) and
+    j != l (columns), row-major; empty for n = 1. Read-only, as it is cached."""
+    i, k = np.nonzero(~np.eye(n, dtype=bool))
+    rows_i, rows_k = (n * i)[:, None], (n * k)[:, None]
+    idx = np.stack([rows_i + i, rows_k + k, rows_i + k, rows_k + i])
+    idx.flags.writeable = False
+    return idx
 
 
 def _quadruple_phases(m):
@@ -156,15 +198,19 @@ def _quadruple_phases(m):
         raise NotHadamard(
             f"fingerprint needs a Hadamard matrix within {FINGERPRINT_HADAMARD_TOL}"
         )
-    i, k = _quadruple_indices(m.shape[0])
-    j, l = i, k
-    prod = (
-        m[i[:, None], j[None, :]]
-        * m[k[:, None], l[None, :]]
-        * np.conj(m[i[:, None], l[None, :]])
-        * np.conj(m[k[:, None], j[None, :]])
-    )
-    return (np.angle(prod) % (2 * np.pi)).ravel()
+    ij, kl, il, kj = _quadruple_indices(m.shape[0])
+    flat = m.ravel()
+    conj = flat.conj()
+    # in place, left to right in the docstring's order: the rounding of the
+    # product, and so the fingerprint, depends on that order
+    prod = flat.take(ij)
+    prod *= flat.take(kl)
+    prod *= conj.take(il)
+    prod *= conj.take(kj)
+    theta = np.angle(prod).ravel()
+    # np.angle is in [-pi, pi]; this is bitwise `theta % (2 * pi)`, and
+    # adding 0.0 turns -0.0 into +0.0 as the remainder does
+    return theta + (theta < 0) * (2 * np.pi)
 
 
 def fingerprint(m, precision=FINGERPRINT_PRECISION):
@@ -178,4 +224,4 @@ def fingerprint(m, precision=FINGERPRINT_PRECISION):
     # rounding can push a phase just below 2pi up onto the branch cut
     r[r >= round(2 * np.pi, precision)] = 0.0
     r = np.sort(r)
-    return Fingerprint(tuple(float(v) for v in r), int(precision))
+    return Fingerprint(r, int(precision))

@@ -38,19 +38,30 @@ class EquivalenceResult:
     screened_by: Optional[str] = None
 
 
-def fingerprint_match(h1, h2, precision=FINGERPRINT_PRECISION):
+def fingerprint_match(h1, h2, precision=FINGERPRINT_PRECISION, tol=DEFAULT_TOL):
     """Sorted cosines and sorted sines of the quadruple phases agree within
-    10**-precision; False certifies inequivalence.
+    10**-precision + 40 tol (1 + 40 tol); False certifies that no witness at
+    tolerance tol exists.
 
-    Equivalent matrices have the same phase multiset up to rounding noise,
-    and sorting, cos and sin are 1-Lipschitz, so they always pass.
+    Quadruple phases are invariant under dephasing and permutations, and
+    cos, sin and sorting are 1-Lipschitz. The enumeration accepts a witness
+    when the two dephased forms agree entrywise within e = 10 tol, so each
+    quadruple product, a product of four near-unimodular entries, moves by
+    at most r = 4e (1 + O(1e-7)) relative to its modulus for inputs Hadamard
+    within FINGERPRINT_HADAMARD_TOL. Its unit direction, whose coordinates
+    are the cosine and sine, then moves by at most the chord
+    sqrt(2 - 2 sqrt(1 - r**2)) <= r (1 + r), or by 2 <= r (1 + r) once
+    r >= 1. 10**-precision covers float noise and the O(1e-7) factor, so
+    every pair the enumeration would accept passes.
     """
     h1, h2 = as_matrix(h1), as_matrix(h2)
     if h1.shape != h2.shape:
         raise DimensionMismatch(f"orders differ: {h1.shape[0]} vs {h2.shape[0]}")
     p1, p2 = _quadruple_phases(h1), _quadruple_phases(h2)
+    r = 40.0 * tol
+    margin = 10.0**-precision + r * (1.0 + r)
     return all(
-        np.abs(np.sort(f(p1)) - np.sort(f(p2))).max(initial=0.0) <= 10.0**-precision
+        np.abs(np.sort(f(p1)) - np.sort(f(p2))).max(initial=0.0) <= margin
         for f in (np.cos, np.sin)
     )
 
@@ -115,7 +126,7 @@ def are_equivalent(h1, h2, tol=DEFAULT_TOL, screen=True):
         h2, FINGERPRINT_HADAMARD_TOL
     )
     if screen and screenable:
-        if not fingerprint_match(h1, h2, FINGERPRINT_PRECISION):
+        if not fingerprint_match(h1, h2, FINGERPRINT_PRECISION, tol):
             return EquivalenceResult(
                 "inequivalent",
                 screened_by=f"fingerprint mismatch at precision {FINGERPRINT_PRECISION}",

@@ -29,8 +29,10 @@ class SearchConfig:
     n: int = 6
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        for name in ("max_iter", "n"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be a finite positive number")
 

@@ -1,6 +1,10 @@
+import math
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadamard6 import (
@@ -161,6 +165,28 @@ def test_fingerprint_distance():
         a.distance(Fingerprint(b.values, rounding=8))
 
 
+def test_fingerprint_contract():
+    fp = fingerprint(family_h(0.37, 0.21), 6)
+    assert type(fp.values) is tuple
+    assert all(type(v) is float for v in fp.values)
+    assert len(fp) == len(fp.values) == 900
+    for same in (Fingerprint(fp.values, fp.rounding), Fingerprint(values=fp.values, rounding=6)):
+        assert same == fp
+        assert hash(same) == hash(fp)
+        assert repr(same) == repr(fp) == f"Fingerprint(values={fp.values!r}, rounding=6)"
+    assert fp != Fingerprint(fp.values, 8)
+    assert fp != (fp.values, 6)
+    back = pickle.loads(pickle.dumps(fp))
+    assert back == fp and back.values == fp.values
+    with pytest.raises(ValueError):
+        fp.phases[0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        fp.rounding = 8
+    other = fingerprint(dita_d6(0.0), 6)
+    tuple_l1 = float(np.abs(np.array(fp.values) - np.array(other.values)).sum())
+    assert fp.distance(other) == tuple_l1
+
+
 def test_matrix_json_roundtrip():
     m = family_h(0.3, 0.2)
     back = io.matrix_from_obj(io.matrix_to_obj(m))
@@ -204,6 +230,33 @@ def test_fingerprint_invariant_property(a, b, seed):
     m = fourier_f6(a, b)
     w = random_witness(6, np.random.default_rng(seed))
     assert fingerprint(m, 7).values == fingerprint(apply_equivalence(m, w), 7).values
+
+
+_MEMBERS = {
+    "h": lambda u, v: family_h(1.5 * u, 1.5 * v),
+    "f6": lambda u, v: fourier_f6(np.pi * u, np.pi * v),
+    "d6": lambda u, v: dita_d6(np.pi / 4 * u),
+}
+unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@given(
+    family=st.sampled_from(sorted(_MEMBERS)),
+    u=unit,
+    v=unit,
+    seed=st.integers(min_value=0, max_value=2**31),
+    precision=st.sampled_from((6, 8)),
+)
+@example(family="h", u=0.0, v=0.0, seed=0, precision=8)  # raw phases include -0.0
+@settings(max_examples=30, deadline=None)
+def test_fingerprint_oracle_property(family, u, v, seed, precision):
+    member = _MEMBERS[family](u, v)
+    image = apply_equivalence(member, random_witness(6, np.random.default_rng(seed)))
+    for m in (member, image):
+        values = fingerprint(m, precision).values
+        assert values == fingerprint_oracle(m, precision)
+        # the fingerprint verb prints these; -0.0 would show as "-0.0"
+        assert not any(math.copysign(1.0, x) < 0 for x in values)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31))

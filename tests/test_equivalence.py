@@ -57,6 +57,16 @@ def test_fingerprint_match():
         fingerprint_match(fourier_f6(0.0, 0.0), np.ones((2, 2), dtype=complex))
 
 
+def test_screen_margin_follows_tol():
+    # entries moved by ~2e-9 keep the pair within the enumeration's reach at
+    # tol 1e-8, so the screen must not reject it
+    h = family_h(0.3, 0.2)
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        p = h * np.exp(1j * 2e-9 * rng.standard_normal((6, 6)))
+        assert are_equivalent(h, p, tol=1e-8).decision == "equivalent"
+
+
 # known equivalences and inequivalences inside the families
 def test_symmetry_panel():
     u, v = 0.52, 0.31

@@ -40,6 +40,9 @@ def test_config_validation():
         SearchConfig(tol=0.0)
     with pytest.raises(ValueError):
         SearchConfig(tol=float("nan"))
+    for kw in ({"max_iter": float("nan")}, {"max_iter": 2.5}, {"n": -1}, {"n": 0}, {"n": 6.0}):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            SearchConfig(**kw)
 
 
 def test_fixed_point_detected_without_iterating():
