@@ -13,14 +13,14 @@ from .compose import ComposeSpec, compose12
 from .core import DEFAULT_TOL, FINGERPRINT_PRECISION, dephase, fingerprint, is_hadamard
 from .core import modulus_defect, unitarity_defect
 from .equivalence import are_equivalent
-from .errors import HadamardError, SingularZ
+from .errors import HadamardError, MaxIterExceeded, SingularZ
 from .families import FAMILIES, family_h
 from .search import SearchConfig, classify, project_search
 
 
 def _tol_from(args):
     """Precedence: explicit flag, then HADAMARD_TOL env, then DEFAULT_TOL."""
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         return args.tol
     env = os.environ.get("HADAMARD_TOL")
     if env is not None:
@@ -28,7 +28,9 @@ def _tol_from(args):
     return DEFAULT_TOL
 
 
-def _emit(text, out_path):
+def _emit(result, out_path):
+    """Write a verb's result: CSV text as it is, anything else as strict JSON."""
+    text = result if isinstance(result, str) else io.dumps(result)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -52,52 +54,42 @@ def _cmd_gen(args):
     values = [getattr(args, name) for name in names]
     if args.turns:  # border's axis is a string, every other parameter an angle
         values = [v if isinstance(v, str) else v * 2 * math.pi for v in values]
-    _emit(io.dumps(io.matrix_to_obj(build(*values))), args.out)
-    return 0
+    return io.matrix_to_obj(build(*values))
 
 
 def _cmd_verify(args):
     m = io.read_matrix(args.infile)
     tol = _tol_from(args)
-    obj = {
+    return {
         "modulus_defect": float(modulus_defect(m)),
         "unitarity_defect": float(unitarity_defect(m)),
         "hadamard": bool(is_hadamard(m, tol)),
     }
-    _emit(io.dumps(obj), args.out)
-    return 0
 
 
 def _cmd_dephase(args):
     m = io.read_matrix(args.infile)
     out, w = dephase(m)
     if args.with_witness:
-        obj = {"matrix": io.matrix_to_obj(out), "witness": io.witness_to_obj(w)}
-    else:
-        obj = io.matrix_to_obj(out)
-    _emit(io.dumps(obj), args.out)
-    return 0
+        return {"matrix": io.matrix_to_obj(out), "witness": io.witness_to_obj(w)}
+    return io.matrix_to_obj(out)
 
 
 def _cmd_equiv(args):
     h1 = io.read_matrix(args.a)
     h2 = io.read_matrix(args.b)
     res = are_equivalent(h1, h2, tol=_tol_from(args), screen=not args.no_screen)
-    obj = {
+    return {
         "decision": res.decision,
         "witness": io.witness_to_obj(res.witness) if res.witness else None,
         "screened_by": res.screened_by,
     }
-    _emit(io.dumps(obj), args.out)
-    return 0
 
 
 def _cmd_fingerprint(args):
     m = io.read_matrix(args.infile)
     fp = fingerprint(m, args.precision)
-    obj = {"precision": fp.rounding, "values": [float(v) for v in fp.values]}
-    _emit(io.dumps(obj), args.out)
-    return 0
+    return {"precision": fp.rounding, "values": [float(v) for v in fp.values]}
 
 
 def _cmd_scan(args):
@@ -113,8 +105,7 @@ def _cmd_scan(args):
             except SingularZ:
                 md = ud = "nan"
             lines.append(f"{x1!r},{x2!r},{md},{ud}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _search_record(result):
@@ -141,33 +132,25 @@ def _classification_obj(c):
 
 def _cmd_search(args):
     records = []
-    failed = False
     for i in range(args.runs):
         cfg = SearchConfig(rng_seed=args.seed + i, tol=args.tol, max_iter=args.max_iter)
-        result = project_search(cfg)
-        failed = failed or not result.converged
-        records.append(_search_record(result))
+        records.append(_search_record(project_search(cfg)))
     obj = records[0] if args.runs == 1 else records
-    _emit(io.dumps(obj), args.out)
-    if failed:
-        print("MaxIterExceeded", file=sys.stderr)
-        return 1
-    return 0
+    if not all(r["converged"] for r in records):
+        _emit(obj, args.out)  # the records are written before the failure exit
+        raise MaxIterExceeded("a search run did not converge")
+    return obj
 
 
 def _cmd_classify(args):
     m = io.read_matrix(args.infile)
-    c = classify(m, grid_n=args.grid)
-    _emit(io.dumps(_classification_obj(c)), args.out)
-    return 0
+    return _classification_obj(classify(m, grid_n=args.grid))
 
 
 def _cmd_compose12(args):
     with open(args.spec) as fh:
         spec = ComposeSpec.from_dict(json.load(fh))
-    m = compose12(spec)
-    _emit(io.dumps(io.matrix_to_obj(m)), args.out)
-    return 0
+    return io.matrix_to_obj(compose12(spec))
 
 
 def _build_parser():
@@ -179,27 +162,22 @@ def _build_parser():
 
     p = sub.add_parser("gen", help="construct a family member as matrix JSON")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--x1", type=float, default=0.0)
-    p.add_argument("--x2", type=float, default=0.0)
-    p.add_argument("--x", type=float, default=0.0)
-    p.add_argument("--axis", choices=["x1", "x2"], default="x1")
+    for name in dict.fromkeys(n for _, names in FAMILIES.values() for n in names):
+        if name == "axis":  # border's axis names one of the two H parameters
+            p.add_argument("--axis", choices=["x1", "x2"], default="x1")
+        else:
+            p.add_argument(f"--{name}", type=float, default=0.0)
     p.add_argument("--turns", action="store_true", help="angles are fractions of 2*pi")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="report defects and the Hadamard check")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("dephase", help="normalize first row and column to ones")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--with-witness", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_dephase)
 
     p = sub.add_parser("equiv", help="decide Hadamard equivalence of two matrices")
@@ -207,54 +185,53 @@ def _build_parser():
     p.add_argument("--b", required=True)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--no-screen", action="store_true", help="skip the fingerprint screen")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("fingerprint", help="equivalence-invariant phase multiset")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--precision", type=int, default=FINGERPRINT_PRECISION)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_fingerprint)
 
     p = sub.add_parser("scan", help="defect CSV over the two-parameter grid")
     p.add_argument("--family", choices=["h"], default="h")
     p.add_argument("--grid", type=_positive_int, default=33)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("search", help="alternating-projection Hadamard search")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=2000)
+    p.add_argument("--max-iter", type=_positive_int, default=2000)
     p.add_argument("--runs", type=_positive_int, default=1)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("classify", help="label a matrix against the known families")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--grid", type=_positive_int, default=24)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("compose12", help="order-12 block composition from a spec file")
     p.add_argument("--spec", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_compose12)
 
+    for p in sub.choices.values():  # after each verb's own flags, as --help lists them
+        p.add_argument("--out")
     return ap
 
 
 def main(argv=None):
+    """Run one verb and write its result; return 0, 1 for an error (its name
+    on stderr) or 2 for a usage error."""
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return args.func(args)
-    except (HadamardError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+        _emit(args.func(args), args.out)
+    except (HadamardError, ValueError, OSError, KeyError) as exc:
         print(type(exc).__name__, file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

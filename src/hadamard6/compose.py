@@ -34,6 +34,8 @@ class ComposeSpec:
             )
         except TypeError:  # a number or list where the spec needs a list or object
             raise ValueError("malformed compose spec") from None
+        except OverflowError:  # an integer too large for a float
+            raise ValueError("compose spec number is too large for a float") from None
 
     def to_dict(self):
         return {

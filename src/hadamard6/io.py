@@ -34,6 +34,8 @@ def matrix_from_obj(obj):
             raise ValueError("matrix object needs 're'/'im' or 'phase_turns'")
     except TypeError:  # null, a list or an object where a number is needed
         raise ValueError("matrix object field has the wrong JSON type") from None
+    except OverflowError:  # an infinite n, or an integer too large for a float
+        raise ValueError("matrix object field is not a finite number") from None
     m = as_matrix(m)
     if m.shape[0] != n:
         raise ValueError(f"declared n={n} but entries are {m.shape[0]}x{m.shape[1]}")

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hadamard6 import (
     apply_equivalence,
@@ -255,7 +257,12 @@ def test_compose12_malformed_spec(tmp_path, capsys):
         "deltas": [0.1, 0.2, 0.3, 0.4, 0.5],
     }
     path = tmp_path / "spec.json"
-    for spec in (dict(good, h1={"family": "f6", "params": 5}), dict(good, h1=5), [1, 2]):
+    for spec in (
+        dict(good, h1={"family": "f6", "params": 5}),
+        dict(good, h1=5),
+        [1, 2],
+        dict(good, deltas=[10**400] * 5),  # an integer too large for a float
+    ):
         path.write_text(json.dumps(spec))
         assert run(capsys, "compose12", "--spec", str(path)) == (1, "", "ValueError\n")
 
@@ -283,6 +290,7 @@ def test_nan_entry_rejected(tmp_path, capsys):
         '{"n": null, "re": [[1]], "im": [[0]]}',
         '{"n": [6], "re": [[1]], "im": [[0]]}',
         '{"n": 1, "re": {"a": 1}, "im": [[0]]}',
+        '{"n": 1e999, "re": [[1]], "im": [[0]]}',
     ):
         path.write_text(text)
         for verb in ("verify", "dephase", "fingerprint", "classify"):
@@ -296,6 +304,8 @@ def test_search_runs_must_be_positive(capsys):
     for runs in ("0", "-1"):
         code, out, _ = run(capsys, "search", "--runs", runs)
         assert (code, out) == (2, "")
+    code, out, _ = run(capsys, "search", "--max-iter", "0")
+    assert (code, out) == (2, "")
 
 
 def test_scan_grid_must_be_positive(capsys):
@@ -317,3 +327,93 @@ def test_fingerprint_order_one(tmp_path, capsys):
     code, out, err = run(capsys, "fingerprint", "--in", str(path))
     assert (code, err) == (0, "")
     assert json.loads(out) == {"precision": 8, "values": []}
+
+
+# Well-formed inputs, and the same with one key dropped or its value replaced
+# by arbitrary JSON: NaN, infinities, integers too large for a float, bools,
+# null, strings, and ragged or nested lists.
+_finite = st.floats(-4, 4) | st.integers(-3, 3)
+_json = st.recursive(
+    st.one_of(
+        _finite,
+        st.floats(),
+        st.sampled_from([10**400, -(10**400), 2**64]),
+        st.booleans(),
+        st.none(),
+        st.text(max_size=3),
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=8,
+)
+
+
+def _grid(k):
+    return st.lists(st.lists(_finite, min_size=k, max_size=k), min_size=k, max_size=k)
+
+
+def _with_spoiled(wellformed):
+    def spoil(obj):
+        return st.sampled_from(sorted(obj)).flatmap(
+            lambda key: st.just({k: v for k, v in obj.items() if k != key})
+            | _json.map(lambda v: {**obj, key: v})
+        )
+
+    return _json | wellformed | wellformed.flatmap(spoil)
+
+
+_matrices = _with_spoiled(
+    st.integers(1, 3).flatmap(
+        lambda k: st.fixed_dictionaries({"n": st.just(k), "re": _grid(k), "im": _grid(k)})
+        | st.fixed_dictionaries({"n": st.just(k), "phase_turns": _grid(k)})
+    )
+)
+_member = _with_spoiled(
+    st.fixed_dictionaries(
+        {
+            "family": st.sampled_from(["f6", "h", "d6"]),
+            "params": st.lists(_finite, min_size=2, max_size=2),
+        }
+    )
+)
+_specs = _with_spoiled(
+    st.fixed_dictionaries(
+        {"h1": _member, "h2": _member, "deltas": st.lists(_finite, min_size=5, max_size=5)}
+    )
+)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"stdout is not strict JSON: {name}")
+
+
+def _assert_clean_exit(code, out, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if out:
+        json.loads(out, parse_constant=_reject_constant)
+
+
+@given(matrix=_matrices, spec=_specs)
+@example(
+    matrix={"n": float("inf"), "re": [[1]], "im": [[0]]},
+    spec={
+        "h1": {"family": "f6", "params": [0, 0]},
+        "h2": {"family": "h", "params": [0, 0]},
+        "deltas": [10**400] * 5,
+    },
+)
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_malformed_input_fuzz(tmp_path, capsys, matrix, spec):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(matrix))
+    for verb in ("verify", "dephase", "fingerprint", "classify"):
+        _assert_clean_exit(*run(capsys, verb, "--in", str(path)))
+    _assert_clean_exit(*run(capsys, "equiv", "--a", str(path), "--b", str(path)))
+    path.write_text(json.dumps(spec))
+    _assert_clean_exit(*run(capsys, "compose12", "--spec", str(path)))
