@@ -19,31 +19,58 @@ FINGERPRINT_PRECISION = 8
 FINGERPRINT_HADAMARD_TOL = 1e-8
 
 
-def as_matrix(m):
-    """Coerce to a square complex array (copying, never aliasing)."""
+def _as_square(m, ndims):
+    """Coerce to a complex array (copying, never aliasing) with ndim in
+    ndims whose last two axes are square and non-empty."""
     out = np.array(m, dtype=complex)
-    if out.ndim != 2 or out.shape[0] != out.shape[1] or out.shape[0] < 1:
+    if out.ndim not in ndims or out.shape[-1] != out.shape[-2] or out.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {out.shape}")
     return out
 
 
+def as_matrix(m):
+    """Coerce to a square complex array (copying, never aliasing)."""
+    return _as_square(m, (2,))
+
+
+@lru_cache(maxsize=None)
+def _identity(n):
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+# The two defects of a coerced matrix (n, n) or stack (K, n, n), reduced over
+# the last two axes: a 0-d array for one matrix, one value per matrix of a stack.
+def _modulus_defects(m):
+    return np.abs(np.abs(m) - 1.0).max(axis=(-2, -1))
+
+
+def _unitarity_defects(m):
+    n = m.shape[-1]
+    return np.abs(np.swapaxes(m.conj(), -1, -2) @ m / n - _identity(n)).max(axis=(-2, -1))
+
+
+def _hadamard_within(m, tol):
+    """Every matrix of m within tol of Hadamard; the unitarity defect, whose
+    product can overflow, is taken only once every modulus passes."""
+    return bool((_modulus_defects(m) <= tol).all() and (_unitarity_defects(m) <= tol).all())
+
+
 def modulus_defect(m):
     """max_ij | |m_ij| - 1 |"""
-    m = as_matrix(m)
-    return float(np.abs(np.abs(m) - 1.0).max())
+    return float(_modulus_defects(as_matrix(m)))
 
 
 def unitarity_defect(m):
     """max entrywise deviation of H^dagger H / n from the identity."""
-    m = as_matrix(m)
-    n = m.shape[0]
-    return float(np.abs(m.conj().T @ m / n - np.eye(n)).max())
+    return float(_unitarity_defects(as_matrix(m)))
 
 
 def is_hadamard(m, tol=DEFAULT_TOL):
     if not 0 < tol < np.inf:
         raise ValueError("tol must be a finite positive number")
-    return modulus_defect(m) <= tol and unitarity_defect(m) <= tol
+    return _hadamard_within(as_matrix(m), tol)
 
 
 def dagger(m):
@@ -192,25 +219,37 @@ def _quadruple_indices(n):
 
 def _quadruple_phases(m):
     """Unrounded phases in [0, 2pi) of h_ij h_kl conj(h_il) conj(h_kj) over
-    ordered i != k, j != l, flat and unsorted."""
-    m = as_matrix(m)
-    if not is_hadamard(m, FINGERPRINT_HADAMARD_TOL):
+    ordered i != k, j != l, unsorted: flat for one matrix (n, n), one row
+    per matrix for a stack (K, n, n). Every matrix must be Hadamard within
+    FINGERPRINT_HADAMARD_TOL."""
+    m = _as_square(m, (2, 3))
+    if not _hadamard_within(m, FINGERPRINT_HADAMARD_TOL):
         raise NotHadamard(
             f"fingerprint needs a Hadamard matrix within {FINGERPRINT_HADAMARD_TOL}"
         )
-    ij, kl, il, kj = _quadruple_indices(m.shape[0])
-    flat = m.ravel()
+    n = m.shape[-1]
+    ij, kl, il, kj = _quadruple_indices(n)
+    flat = m.reshape(m.shape[:-2] + (n * n,))
     conj = flat.conj()
     # in place, left to right in the docstring's order: the rounding of the
     # product, and so the fingerprint, depends on that order
-    prod = flat.take(ij)
-    prod *= flat.take(kl)
-    prod *= conj.take(il)
-    prod *= conj.take(kj)
-    theta = np.angle(prod).ravel()
+    prod = flat.take(ij, axis=-1)
+    prod *= flat.take(kl, axis=-1)
+    prod *= conj.take(il, axis=-1)
+    prod *= conj.take(kj, axis=-1)
+    theta = np.angle(prod).reshape(m.shape[:-2] + (ij.size,))
     # np.angle is in [-pi, pi]; this is bitwise `theta % (2 * pi)`, and
     # adding 0.0 turns -0.0 into +0.0 as the remainder does
     return theta + (theta < 0) * (2 * np.pi)
+
+
+def _rounded_sorted(theta, precision):
+    """Round phases to precision and sort along the last axis."""
+    r = np.round(theta, precision)
+    # rounding can push a phase just below 2pi up onto the branch cut
+    r[r >= round(2 * np.pi, precision)] = 0.0
+    r.sort(axis=-1)
+    return r
 
 
 def fingerprint(m, precision=FINGERPRINT_PRECISION):
@@ -220,8 +259,14 @@ def fingerprint(m, precision=FINGERPRINT_PRECISION):
     invariant under every row/column permutation and diagonal phase change:
     those moves biject the ordered quadruples and cancel in the product.
     """
-    r = np.round(_quadruple_phases(m), precision)
-    # rounding can push a phase just below 2pi up onto the branch cut
-    r[r >= round(2 * np.pi, precision)] = 0.0
-    r = np.sort(r)
-    return Fingerprint(r, int(precision))
+    return Fingerprint(_rounded_sorted(_quadruple_phases(m), precision), int(precision))
+
+
+def fingerprint_distances(stack, fq):
+    """Distance to the fingerprint fq from each matrix of a stack (K, n, n),
+    as a float array of length K: entry k is bitwise
+    fingerprint(stack[k], fq.rounding).distance(fq)."""
+    r = _rounded_sorted(_quadruple_phases(_as_square(stack, (3,))), fq.rounding)
+    if r.shape[-1] != len(fq):
+        raise DimensionMismatch("fingerprints of different sizes")
+    return np.abs(r - fq.phases).sum(axis=-1)

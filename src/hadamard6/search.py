@@ -8,7 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import as_matrix, fingerprint, is_hadamard, modulus_defect, unitarity_defect
+from .core import as_matrix, fingerprint, fingerprint_distances, is_hadamard
+from .core import modulus_defect, unitarity_defect
 from .equivalence import are_equivalent
 from .errors import NotHadamard, OrderUnsupported, SingularZ
 from .families import _fourier_canonical, _sign_swap_images
@@ -93,23 +94,30 @@ _MAX_RESCUES = 3
 
 def _refine(dist, p0, w0, lo, hi):
     """Compass search on a rugged objective: step to the first improving
-    neighbor, halve the step when none improves."""
+    neighbor, halve the step when none improves.
+
+    The neighbors of one step go to dist together, and evals counts those
+    up to the first improving one, as a loop over them would; a point seen
+    before in this call is not evaluated again."""
     p = np.asarray(p0, dtype=float)
     w = float(w0)
-    best = dist(p)
-    steps = [np.array(s, dtype=float) for s in product((-1, 0, 1), repeat=p.size) if any(s)]
+    best = float(dist([p])[0])
+    seen = {p.tobytes(): best}
+    steps = np.array([s for s in product((-1, 0, 1), repeat=p.size) if any(s)], dtype=float)
     evals = 0
     while w > _REFINE_WMIN and evals < _REFINE_MAX_EVALS:
-        improved = False
-        for s in steps:
-            cand = np.clip(p + w * s, lo, hi)
-            d = dist(cand)
-            evals += 1
-            if d < best - 1e-15:
-                best, p, improved = d, cand, True
-                break
-        if not improved:
+        cands = np.clip(p + w * steps, lo, hi)
+        keys = [c.tobytes() for c in cands]
+        new = {k: c for k, c in zip(keys, cands) if k not in seen}
+        seen.update(zip(new, dist(list(new.values())).tolist()))
+        d = [seen[k] for k in keys]
+        i = next((i for i, x in enumerate(d) if x < best - 1e-15), None)
+        if i is None:
+            evals += len(steps)
             w *= 0.5
+        else:
+            evals += i + 1
+            best, p = d[i], cands[i]
     return p, best
 
 
@@ -119,8 +127,7 @@ def _candidates(dist, cells, w0, lo, hi, k_cells, k_out, canon):
     canon maps a point to a representative of its symmetry orbit; without it
     the images of one false minimum can crowd out the true basin.
     """
-    vals = np.array([dist(np.asarray(c, dtype=float)) for c in cells])
-    order = np.argsort(vals, kind="stable")[:k_cells]
+    order = np.argsort(dist(cells), kind="stable")[:k_cells]
     out = []
     for idx in order:
         p, d = _refine(dist, cells[idx], w0, lo, hi)
@@ -136,15 +143,16 @@ def _candidates(dist, cells, w0, lo, hi, k_cells, k_out, canon):
 def _microscan(dist, p, lo, hi):
     """Dense local sampling. The distance surface is a cluster of narrow
     V-shaped wells; compass steps can converge on a false floor a few
-    hundredths away from the true zero, so near misses get swept densely."""
+    hundredths away from the true zero, so near misses get swept densely.
+    Returns the first sample of least distance if it beats p, else p."""
     p = np.asarray(p, dtype=float)
-    best_p, best_d = p, dist(p)
-    for off in product(_MICROSCAN_OFFSETS, repeat=p.size):
-        cand = np.clip(p + np.asarray(off), lo, hi)
-        d = dist(cand)
-        if d < best_d:
-            best_p, best_d = cand, d
-    return best_p, best_d
+    offsets = np.array(list(product(_MICROSCAN_OFFSETS, repeat=p.size)))
+    cands = np.clip(p + offsets, lo, hi)
+    d = dist([p, *cands])
+    i = int(np.argmin(d[1:]))
+    if d[1 + i] < d[0]:
+        return cands[i], float(d[1 + i])
+    return p, float(d[0])
 
 
 def _polish(dist, cands, lo, hi, threshold):
@@ -161,6 +169,36 @@ def _polish(dist, cands, lo, hi, threshold):
                 p, d = tuple(float(x) for x in p2), float(d2)
         out.append((p, d))
     return sorted(out, key=lambda t: (t[1], t[0]))
+
+
+# matrices per fingerprint_distances call in classify: one compass step's
+# neighbours; stacks of 16 or 32 were no faster and raised peak memory
+_CHUNK = 8
+
+
+def _distances(build, fq):
+    """classify's objective for one stage: dist(points) is the array of
+    fingerprint distances from fq to build(p) over a sequence of points,
+    inf where build raises SingularZ."""
+
+    def dist(points):
+        points = np.asarray(points, dtype=float)
+        out = np.full(len(points), np.inf)
+        # a chunk's matrices are built only when it is due, so a grid or a
+        # microscan never holds more than _CHUNK matrices at once
+        for start in range(0, len(points), _CHUNK):
+            mats, rows = [], []
+            for row in range(start, min(start + _CHUNK, len(points))):
+                try:
+                    mats.append(build(points[row]))
+                except SingularZ:
+                    continue
+                rows.append(row)
+            if mats:
+                out[rows] = fingerprint_distances(np.stack(mats), fq)
+        return out
+
+    return dist
 
 
 def _h_images(p):
@@ -220,12 +258,7 @@ def classify(h, grid_n=24):
 
     best_overall = float("inf")
     for build, lo, hi, dim, k_cells, k_out, canon, confirmations in _STAGES:
-        def dist(p, build=build):
-            try:
-                return fingerprint(build(p), CLASSIFY_PRECISION).distance(fq)
-            except SingularZ:
-                return float("inf")
-
+        dist = _distances(build, fq)
         step = (hi - lo) / grid_n
         cells = list(product([lo + (i + 0.5) * step for i in range(grid_n)], repeat=dim))
         cands = _candidates(dist, cells, step, lo, hi, k_cells, k_out, canon)

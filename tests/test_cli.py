@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +299,14 @@ def test_nan_entry_rejected(tmp_path, capsys):
         assert run(capsys, "equiv", "--a", str(path), "--b", str(path)) == (1, "", "ValueError\n")
     with pytest.raises(ValueError):
         io.dumps({"modulus_defect": float("nan")})
+    # non-finite gen angles are rejected before numpy can warn about them
+    # on stderr (here a warning raises)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in ("inf", "-inf", "nan"):
+            for family, flag in (("h", "--x1"), ("d6", "--c")):
+                argv = ("gen", "--family", family, f"{flag}={value}")
+                assert run(capsys, *argv) == (1, "", "ValueError\n")
 
 
 def test_search_runs_must_be_positive(capsys):

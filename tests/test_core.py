@@ -14,11 +14,13 @@ from hadamard6 import (
     NearZeroEntry,
     NotHadamard,
     apply_equivalence,
+    block_compose,
     dagger,
     dephase,
     dita_d6,
     family_h,
     fingerprint,
+    fingerprint_distances,
     fourier_f6,
     is_hadamard,
     modulus_defect,
@@ -26,6 +28,7 @@ from hadamard6 import (
     unitarity_defect,
 )
 from hadamard6 import io
+from hadamard6.core import _quadruple_phases
 
 from conftest import fingerprint_oracle, random_witness
 
@@ -257,6 +260,40 @@ def test_fingerprint_oracle_property(family, u, v, seed, precision):
         assert values == fingerprint_oracle(m, precision)
         # the fingerprint verb prints these; -0.0 would show as "-0.0"
         assert not any(math.copysign(1.0, x) < 0 for x in values)
+
+
+@given(
+    members=st.lists(
+        st.tuples(st.sampled_from(sorted(_MEMBERS)), unit, unit), min_size=1, max_size=5
+    ),
+    seed=st.integers(min_value=0, max_value=2**31),
+    precision=st.sampled_from((6, 8)),
+    order=st.sampled_from((6, 12)),
+)
+@example(members=[("h", 0.0, 0.0), ("f6", 0.0, 0.0)], seed=0, precision=8, order=6)
+@settings(max_examples=30, deadline=None)
+def test_fingerprint_distances_property(members, seed, precision, order):
+    rng = np.random.default_rng(seed)
+    stack = []
+    for family, u, v in members:
+        m = _MEMBERS[family](u, v)
+        if order == 12:
+            m = block_compose(m, _MEMBERS[family](v, u), rng.uniform(-np.pi, np.pi, 5))
+        stack += [m, apply_equivalence(m, random_witness(order, rng))]
+    stack = np.stack(stack)
+    fq = fingerprint(stack[0], precision)
+    dists = fingerprint_distances(stack, fq)
+    phases = _quadruple_phases(stack)
+    assert dists.shape == (len(stack),)
+    for k, m in enumerate(stack):
+        assert dists[k] == fingerprint(m, precision).distance(fq)
+        # bitwise, the sign of zero included
+        assert phases[k].tobytes() == _quadruple_phases(m).tobytes()
+    assert dists[0] == 0.0
+    bad = stack.copy()
+    bad[-1, 0, 0] *= 1.5
+    with pytest.raises(NotHadamard):
+        fingerprint_distances(bad, fq)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31))
