@@ -131,12 +131,14 @@ def solve_ab(x1, x2, signs=REPRESENTATIVE_SIGNS):
 
 def f_factor(x1, x2):
     """The unit-modulus factor whose four sign images fill the family."""
-    s = math.sin(x1) * math.sin(x2)
-    if 1 + s <= _SINGULAR_GUARD:
-        raise SingularZ(f"1 + sin(x1)sin(x2) = {1 + s:.3e}")
+    # 1 + sin(x1) sin(x2) as a sum of two squares: the plain sum cancels
+    # near the corners (+-pi/2, -+pi/2), where the family turns singular
+    s1 = math.cos((x1 - x2) / 2) ** 2 + math.sin((x1 + x2) / 2) ** 2
+    if s1 <= _SINGULAR_GUARD:
+        raise SingularZ(f"1 + sin(x1)sin(x2) = {s1:.3e}")
     z1, z2 = np.exp(1j * x1), np.exp(1j * x2)
     return (1 - 0.5 * (1 - z1) * (1 - z2)) * (
-        0.5 + 1j * math.sqrt(max(1.0 / (1 + s) - 0.25, 0.0))
+        0.5 + 1j * math.sqrt(max(1.0 / s1 - 0.25, 0.0))
     )
 
 
@@ -200,6 +202,15 @@ def reduce_params(x1, x2):
 
 
 _FOURIER_SHIFT = np.pi / 3
+# a remainder mod pi within this of 0 or pi is float noise on a multiple of pi
+_WRAP_NOISE = 1e-12
+
+
+def _mod_pi(x):
+    """x mod pi in [0, pi), with remainders within _WRAP_NOISE of 0 or pi taken
+    as 0, so that noise on a multiple of pi cannot land on either side."""
+    r = np.mod(x, np.pi)
+    return np.where((r < _WRAP_NOISE) | (r > np.pi - _WRAP_NOISE), 0.0, r)
 
 
 def _fourier_canonical(a, b):
@@ -212,26 +223,9 @@ def _fourier_canonical(a, b):
     for p, q in ((a, b), (b - a, -a), (-b, a - b)):
         for u, v in ((p, q), (q, p), (-p, -q), (-q, -p)):
             for t in (0.0, _FOURIER_SHIFT, 2 * _FOURIER_SHIFT):
-                images.append(((u + t) % np.pi, (v - t) % np.pi))
-    a, b = min(images)
-    return a, max(b, (a - b) % np.pi)
-
-
-def _sign_swap_images(p):
-    """The distinct points of the H-family orbit {(+-u, +-v), (+-v, +-u)} of
-    p = (u, v): the sign flips give matrices equivalent to family_h(u, v),
-    the swaps matrices equivalent to its transpose."""
-    u, v = p
-    seen, out = set(), []
-    for q in (
-        (u, v), (-u, -v), (u, -v), (-u, v),
-        (v, u), (-v, -u), (v, -u), (-v, u),
-    ):
-        key = (round(q[0], 9), round(q[1], 9))
-        if key not in seen:
-            seen.add(key)
-            out.append(q)
-    return out
+                images.append((u + t, v - t))
+    a, b = min(map(tuple, _mod_pi(np.array(images, dtype=float)).tolist()))
+    return a, max(b, float(_mod_pi(a - b)))
 
 
 def symmetric_m(x):

@@ -164,6 +164,14 @@ def test_search_single_run(capsys):
     assert obj["classification"]["label"] in ("F6-slice", "F6T-slice", "H-family", "D6", "unknown")
 
 
+def test_search_near_pi_output(capsys):
+    # the search output with a quadruple phase nearest to pi of 1,200 runs
+    # (7.8e-6 away) goes through classify's read-off and stays unknown
+    code, out, err = run(capsys, "search", "--seed", "919476259")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["classification"]["label"] == "unknown"
+
+
 def test_search_deterministic(capsys):
     _, out1, _ = run(capsys, "search", "--seed", "11", "--tol", "1e-8")
     _, out2, _ = run(capsys, "search", "--seed", "11", "--tol", "1e-8")

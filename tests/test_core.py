@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 from dataclasses import FrozenInstanceError
@@ -311,3 +312,15 @@ def test_dephase_canonical_within_phasing_orbit(seed):
     a, _ = dephase(m)
     b, _ = dephase(apply_equivalence(m, w))
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_quadruple_phases_bits_pinned():
+    # the screen compares raw phases, whose last bits follow the multiply
+    # order of _quadruple_phases (h_ij h_kl conj(h_il) conj(h_kj), left to
+    # right); the rounded fingerprints do not show a change of that order
+    pinned = {
+        (fourier_f6, (0.4, 0.9)): "4610a54178a14ed4978dc395329a7bab7809a09e85e9ada3b2e0ac0592c42f1e",
+        (dita_d6, (0.3,)): "4582e152641034fde69d9c157b4dd15ec9ae29e531c5a846ec72c13d52de7a52",
+    }
+    for (build, params), digest in pinned.items():
+        assert hashlib.sha256(_quadruple_phases(build(*params)).tobytes()).hexdigest() == digest

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadamard6 import (
+    DEFAULT_TOL,
     REPRESENTATIVE_SIGNS,
     InadmissibleSigns,
     ParamOutOfRange,
@@ -146,6 +147,17 @@ def test_family_h_singular_corner():
         family_h(np.pi / 2, np.pi / 2)
     with pytest.raises(SingularZ):
         family_h(np.pi / 2, -np.pi / 2)
+
+
+def test_family_h_hadamard_near_singular_corners():
+    # 1 + sin(x1) sin(x2) cancels near the corners; at 1e-5 from one the
+    # plain sum left a modulus defect of about 1e-6
+    for d in (1e-2, 1e-3, 1e-4, 1e-5):
+        for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            for t in np.linspace(0.0, np.pi / 2, 5):
+                x1 = s1 * (np.pi / 2 - d * np.cos(t))
+                x2 = s2 * (np.pi / 2 - d * np.sin(t))
+                assert is_hadamard(family_h(x1, x2), DEFAULT_TOL), (x1, x2)
 
 
 def test_reduce_params_column_witness():

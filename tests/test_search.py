@@ -1,15 +1,15 @@
 import math
-from itertools import product
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hadamard6 import (
     NotHadamard,
     OrderUnsupported,
     SearchConfig,
+    apply_equivalence,
+    border_h,
     classify,
     dita_corner,
     dita_d6,
@@ -19,18 +19,18 @@ from hadamard6 import (
     is_hadamard,
     modulus_defect,
     project_search,
+    self_adjoint_h,
+    symmetric_m,
     unitarity_defect,
 )
 from hadamard6.search import (
-    _MICROSCAN_OFFSETS,
-    _REFINE_MAX_EVALS,
-    _REFINE_WMIN,
     CLASSIFY_PRECISION,
     _distances,
     _fourier_canonical,
-    _microscan,
-    _refine,
+    _pi_cells,
 )
+
+from conftest import random_witness
 
 # symmetric matrix with entries in the cube roots of unity; lies outside
 # every family the classifier knows
@@ -162,97 +162,81 @@ def test_classify_distances():
     assert dist([]).shape == (0,)
 
 
-# The one-point-at-a-time compass and microscan loops that the batched
-# versions in search.py replace; both must give the same (p, best) bitwise.
-def _refine_oracle(dist, p0, w0, lo, hi):
-    p = np.asarray(p0, dtype=float)
-    w = float(w0)
-    best = dist(p)
-    steps = [np.array(s, dtype=float) for s in product((-1, 0, 1), repeat=p.size) if any(s)]
-    evals = 0
-    while w > _REFINE_WMIN and evals < _REFINE_MAX_EVALS:
-        improved = False
-        for s in steps:
-            cand = np.clip(p + w * s, lo, hi)
-            d = dist(cand)
-            evals += 1
-            if d < best - 1e-15:
-                best, p, improved = d, cand, True
-                break
-        if not improved:
-            w *= 0.5
-    return p, best
+def test_pi_cells():
+    # SPECTRAL_SIX's entries are cube roots of unity, so no quadruple
+    # product of them is -1
+    assert _pi_cells(SPECTRAL_SIX)[0].shape == (0, 4)
+    h = family_h(0.37, 0.21)
+    rows, cols, interior = _pi_cells(h)
+    assert rows.shape == cols.shape == (len(rows), 4) and interior.shape == (len(rows), 16)
+    # the block at rows and columns 0, 1: row 1 reads +-z1 and column 1 +-z2
+    assert any(
+        np.abs(r - h[1, 2:]).max() < 1e-12 and np.abs(c - h[2:, 1]).max() < 1e-12
+        for r, c in zip(rows, cols)
+    )
+    image = apply_equivalence(h, random_witness(6, np.random.default_rng(4)))
+    assert len(_pi_cells(image)[0]) == len(rows)
 
 
-def _microscan_oracle(dist, p, lo, hi):
-    p = np.asarray(p, dtype=float)
-    best_p, best_d = p, dist(p)
-    for off in product(_MICROSCAN_OFFSETS, repeat=p.size):
-        cand = np.clip(p + np.asarray(off), lo, hi)
-        d = dist(cand)
-        if d < best_d:
-            best_p, best_d = cand, d
-    return best_p, best_d
+def test_classify_edge_panel():
+    # dita_d6(0) raised NotHadamard under the grid search, and the last two
+    # came back unknown; fourier_f6(0, 0) must not land on the far side of
+    # the mod-pi wrap, at (0, pi)
+    a, b = 0.7379612947827312, 0.4448087903966966
+    panel = (
+        (dita_d6(0.0), "D6", (0.0,)),
+        (dita_d6(np.pi / 4), "D6", (np.pi / 4,)),
+        (border_h("x1", 0.3), "H-family", (0.3, np.pi / 2)),
+        (fourier_f6(0.0, 0.0), "F6-slice", (0.0, 0.0)),
+        (family_h(0.0, 0.0), "F6-slice", (0.0, 0.0)),
+        (family_h(1.05, 0.8), "H-family", (1.05, 0.8)),
+        (fourier_f6(a, b), "F6-slice", _fourier_canonical(a, b)),
+    )
+    rng = np.random.default_rng(12)
+    for m, label, params in panel:
+        for h in (m, apply_equivalence(m, random_witness(6, rng))):
+            c = classify(h)
+            assert c.label == label
+            assert np.max(np.abs(np.array(c.params) - params)) < 1e-9
 
 
-def _rugged(p):
-    """Many narrow wells, flat ties from rounding, and an inf hole (as a
-    SingularZ point gives) next to (0.3, -0.2)."""
-    x, y = float(p[0]), float(p[-1])
-    if (x - 0.3) ** 2 + (y + 0.2) ** 2 < 0.01:
-        return math.inf
-    return round(abs(math.sin(7 * x)) + abs(math.sin(5 * y)) + 0.2 * abs(x + y), 2)
+def test_classify_recovers_every_family():
+    # each constructor under random witnesses, parameters within 1e-9 of
+    # their canonical representative
+    rng = np.random.default_rng(13)
+    for _ in range(2):
+        x1, x2 = rng.uniform(0.2, 1.4, 2) * rng.choice((-1, 1), 2)
+        x = rng.uniform(0.2, 1.4) * rng.choice((-1, 1))
+        fa, fb = rng.uniform(0.0, 2 * np.pi, 2)
+        c = rng.uniform(0.1, 0.7) * rng.choice((-1, 1))
+        cases = (
+            (family_h(x1, x2), "H-family", (abs(x1), abs(x2))),
+            (symmetric_m(x), "H-family", (abs(x), abs(x))),
+            (self_adjoint_h(x), "H-family", (abs(x), abs(x))),
+            (border_h("x2", x), "H-family", (np.pi / 2, abs(x))),
+            (fourier_f6(fa, fb), "F6-slice", _fourier_canonical(fa, fb)),
+            (fourier_f6(fa, fb).T, "F6T-slice", _fourier_canonical(fa, fb)),
+            (dita_d6(c), "D6", (abs(c),)),
+            (dita_corner(c), "D6", (abs(c),)),
+        )
+        for m, label, params in cases:
+            got = classify(apply_equivalence(m, random_witness(6, rng)))
+            assert got.label == label
+            assert np.max(np.abs(np.array(got.params) - params)) < 1e-9
 
 
-def _slope(p):
-    """Improves forever in the box below, so refine runs to the evaluation cap."""
-    return -float(p[0]) - 2.0 * float(p[-1])
+# the search outputs of 1,200 runs whose quadruple phases come nearest to pi,
+# 7.8e-6 to 5.2e-5 away
+NEAR_PI_SEEDS = (919476259, 434567323, 844805346, 675944770, 1959843383, 1165291759)
 
 
-def _tiny(p):
-    """Steps of 1e-16, below the margin by which refine counts a gain."""
-    return 1e-16 * abs(round(10 * float(p[0])))
-
-
-def _batched(f):
-    return lambda points: np.array([f(p) for p in np.asarray(points, dtype=float)])
-
-
-def _same(got, want):
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1] == want[1]
-
-
-@given(
-    x=st.floats(min_value=-1.0, max_value=1.0),
-    y=st.floats(min_value=-1.0, max_value=1.0),
-    w0=st.sampled_from((0.5, 0.13, 0.002)),
-    dim=st.sampled_from((1, 2)),
-)
-@settings(max_examples=40, deadline=None)
-def test_refine_matches_oracle(x, y, w0, dim):
-    p0 = (x, y)[:dim]
-    _same(_refine(_batched(_rugged), p0, w0, -1.0, 1.0), _refine_oracle(_rugged, p0, w0, -1.0, 1.0))
-
-
-def test_refine_matches_oracle_at_edges_cap_and_margin():
-    calls = []
-
-    def counted(p):
-        calls.append(1)
-        return _slope(p)
-
-    # the cap: every step improves, so only the evaluation count stops it
-    want = _refine_oracle(counted, (0.0, 0.0), 1.0, -1e9, 1e9)
-    assert len(calls) > _REFINE_MAX_EVALS
-    _same(_refine(_batched(_slope), (0.0, 0.0), 1.0, -1e9, 1e9), want)
-    # clipping: starts on the box edge and in its corners
-    for p0 in ((1.0, 1.0), (-1.0, -1.0), (1.0, 0.2), (-1.0,), (1.0,)):
-        for f in (_rugged, _slope, _tiny):
-            _same(_refine(_batched(f), p0, 0.3, -1.0, 1.0), _refine_oracle(f, p0, 0.3, -1.0, 1.0))
-
-
-def test_microscan_matches_oracle():
-    for p0 in ((0.0, 0.0), (0.99, -0.98), (1.0, 1.0), (0.3, -0.16), (0.5,), (-1.0,)):
-        for f in (_rugged, _slope):
-            _same(_microscan(_batched(f), p0, -1.0, 1.0), _microscan_oracle(f, p0, -1.0, 1.0))
+def test_classify_search_outputs_near_pi():
+    for seed in NEAR_PI_SEEDS:
+        m = project_search(SearchConfig(rng_seed=seed, tol=1e-8)).matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = classify(m)
+        assert (c.label, c.params) == ("unknown", None)
+        assert math.isfinite(c.distance)
+    # the nearest has pi-cells within the gate, so its read-off runs
+    assert len(_pi_cells(project_search(SearchConfig(rng_seed=NEAR_PI_SEEDS[0])).matrix)[0])
