@@ -10,8 +10,8 @@ import sys
 
 from . import io
 from .compose import ComposeSpec, compose12
-from .core import DEFAULT_TOL, FINGERPRINT_PRECISION, dephase, fingerprint, is_hadamard
-from .core import modulus_defect, unitarity_defect
+from .core import DEFAULT_TOL, FINGERPRINT_HADAMARD_TOL, FINGERPRINT_PRECISION, dephase
+from .core import fingerprint, is_hadamard, modulus_defect, unitarity_defect
 from .equivalence import are_equivalent
 from .errors import HadamardError, MaxIterExceeded, SingularZ
 from .families import FAMILIES, family_h
@@ -118,9 +118,8 @@ def _search_record(result):
         "converged": result.converged,
         "classification": None,
     }
-    if is_hadamard(result.matrix, 1e-8):
-        c = classify(result.matrix)
-        obj["classification"] = _classification_obj(c)
+    if is_hadamard(result.matrix, FINGERPRINT_HADAMARD_TOL):  # as classify requires
+        obj["classification"] = _classification_obj(classify(result.matrix))
     return obj
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, is_hadamard
+from .core import DEFAULT_TOL, as_matrix, is_hadamard
 from .errors import NotHadamard, UnknownFamily
 from .families import FAMILIES
 
@@ -72,6 +72,6 @@ def compose12(spec):
     h1 = _build(spec.family1, spec.params1)
     h2 = _build(spec.family2, spec.params2)
     for name, h in (("h1", h1), ("h2", h2)):
-        if not is_hadamard(h, 1e-10):
-            raise NotHadamard(f"{name} is not Hadamard within 1e-10")
+        if not is_hadamard(h, DEFAULT_TOL):
+            raise NotHadamard(f"{name} is not Hadamard within {DEFAULT_TOL}")
     return block_compose(h1, h2, spec.deltas)

@@ -6,7 +6,7 @@ when every entry has modulus 1 within t and H^dagger H / n is the identity
 within t.
 """
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -130,6 +130,15 @@ def apply_equivalence(m, w):
     return d2[:, None] * m[np.ix_(rp, cp)] * d1[None, :]
 
 
+def _anchored_forms(h):
+    """h dephased at every anchor (a, b), shape (n, n, n, n): q[a, b, i, j] =
+    h_ij h_ab / (h_ib h_aj), whose cells off row a and column b are the
+    quadruple products of h. search._pi_cells reads every anchor, and
+    equivalence._exhaustive_witness the anchors (a, cp[0]) of each column
+    permutation cp, with the columns in cp's order."""
+    return h * h[:, :, None, None] / (h.T[None, :, :, None] * h[:, None, None, :])
+
+
 def dephase(m):
     """Equivalent matrix with first row and column all ones, plus the witness.
 
@@ -149,49 +158,27 @@ def dephase(m):
     return out, w
 
 
+@dataclass(frozen=True)
 class Fingerprint:
     """Sorted multiset of rounded quadruple-product phases in [0, 2pi).
 
-    The phases are kept in `phases`, a read-only float array; `values`, the
-    same numbers as a tuple of Python floats, is built on first read.
-    Equality, hash, repr and pickling go by (values, rounding), as for a
-    frozen dataclass with those two fields, and no attribute can be set.
+    `values` holds the phases as a tuple of Python floats; `phases`, set on
+    construction and not a field, holds the same numbers as a read-only
+    float array, which `distance` and `fingerprint_distances` read. Pickling
+    goes through the constructor, so an unpickled `phases` is read-only too.
     """
 
-    __slots__ = ("phases", "rounding", "_values")
+    values: tuple
+    rounding: int
 
-    def __init__(self, values, rounding):
-        phases = np.array(values, dtype=float)
+    def __post_init__(self):
+        phases = np.array(self.values, dtype=float)
         phases.flags.writeable = False
+        object.__setattr__(self, "values", tuple(phases.tolist()))
         object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "rounding", rounding)
-        object.__setattr__(self, "_values", None)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    @property
-    def values(self):
-        if self._values is None:
-            object.__setattr__(self, "_values", tuple(self.phases.tolist()))
-        return self._values
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.values, self.rounding) == (other.values, other.rounding)
-
-    def __hash__(self):
-        return hash((self.values, self.rounding))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(values={self.values!r}, rounding={self.rounding!r})"
 
     def __reduce__(self):
-        return (type(self), (self.phases, self.rounding))
+        return (type(self), (self.values, self.rounding))
 
     def __len__(self):
         return len(self.phases)
@@ -245,6 +232,9 @@ def _quadruple_phases(m):
 
 def _rounded_sorted(theta, precision):
     """Round phases to precision and sort along the last axis."""
+    # beyond these, np.round's scaling by 10**precision overflows near 2pi
+    if not -308 <= precision <= 307:
+        raise ValueError(f"precision must lie in [-308, 307], got {precision}")
     r = np.round(theta, precision)
     # rounding can push a phase just below 2pi up onto the branch cut
     r[r >= round(2 * np.pi, precision)] = 0.0
@@ -258,6 +248,7 @@ def fingerprint(m, precision=FINGERPRINT_PRECISION):
     Ordered index pairs (rather than i<k, j<l) make the multiset exactly
     invariant under every row/column permutation and diagonal phase change:
     those moves biject the ordered quadruples and cancel in the product.
+    The phases are rounded to precision decimals, from -308 to 307.
     """
     return Fingerprint(_rounded_sorted(_quadruple_phases(m), precision), int(precision))
 

@@ -18,6 +18,7 @@ from .core import (
     FINGERPRINT_HADAMARD_TOL,
     FINGERPRINT_PRECISION,
     EquivalenceWitness,
+    _anchored_forms,
     _quadruple_phases,
     apply_equivalence,
     as_matrix,
@@ -75,12 +76,11 @@ def _exhaustive_witness(h1, h2, tol):
     prune_tol = atol + 1e-12
     g2 = np.asarray(wd.row_phases)
     g1 = np.asarray(wd.col_phases)
+    forms = _anchored_forms(h1)
 
     for cp in _PERMS6:
-        m = h1[:, cp]
-        # dephased form of m for every choice of anchor row a:
-        # q[a, i, j] = m_ij * m_a0 / (m_i0 * m_aj)
-        q = m[None, :, :] * m[:, 0][:, None, None] / (m[:, 0][None, :, None] * m[:, None, :])
+        # q[a] is m = h1[:, cp] dephased at the anchor (a, 0)
+        q = forms[:, cp[0]][:, :, cp]
         for a in range(6):
             qa = q[a]
             # sorting is 1-Lipschitz, so a true match survives this prune
@@ -94,7 +94,7 @@ def _exhaustive_witness(h1, h2, tol):
             hits = np.nonzero(diffs <= atol)[0]
             if hits.size == 0:
                 continue
-            sigma = block[hits[0]]
+            sigma, m = block[hits[0]], h1[:, cp]
             # h2[i,j] = conj(g2_i) h2d[i,j] conj(g1_j) and
             # h2d[i,j] = q[a, sigma_i, j], which factors into witness form
             rph = np.conj(g2) * m[a, 0] / m[sigma, 0]
@@ -122,24 +122,16 @@ def are_equivalent(h1, h2, tol=DEFAULT_TOL, screen=True):
         if not is_hadamard(h, tol):
             raise NotHadamard(f"{name} matrix is not Hadamard within {tol}")
 
-    screenable = is_hadamard(h1, FINGERPRINT_HADAMARD_TOL) and is_hadamard(
-        h2, FINGERPRINT_HADAMARD_TOL
-    )
-    if screen and screenable:
-        if not fingerprint_match(h1, h2, FINGERPRINT_PRECISION, tol):
-            return EquivalenceResult(
-                "inequivalent",
-                screened_by=f"fingerprint mismatch at precision {FINGERPRINT_PRECISION}",
-            )
-    if n == 12:
-        if not (screen and screenable):
-            return EquivalenceResult(
-                "inconclusive", screened_by="order-12 enumeration unsupported"
-            )
+    screened = screen and all(is_hadamard(h, FINGERPRINT_HADAMARD_TOL) for h in (h1, h2))
+    if screened and not fingerprint_match(h1, h2, FINGERPRINT_PRECISION, tol):
         return EquivalenceResult(
-            "inconclusive",
-            screened_by="fingerprint match is necessary but not sufficient",
+            "inequivalent",
+            screened_by=f"fingerprint mismatch at precision {FINGERPRINT_PRECISION}",
         )
+    if n == 12:
+        unsupported = "order-12 enumeration unsupported"
+        why = "fingerprint match is necessary but not sufficient" if screened else unsupported
+        return EquivalenceResult("inconclusive", screened_by=why)
 
     w = _exhaustive_witness(h1, h2, tol)
     if w is None:
@@ -148,5 +140,6 @@ def are_equivalent(h1, h2, tol=DEFAULT_TOL, screen=True):
 
 
 def verify_witness(h1, h2, w, tol=DEFAULT_TOL):
-    """Max entrywise error of the witness reproduction of h2 from h1."""
+    """Max entrywise error of the witness reproduction of h2 from h1; tol is
+    accepted and unused, and the caller compares the error with its own."""
     return float(np.abs(apply_equivalence(h1, w) - as_matrix(h2)).max())

@@ -25,7 +25,9 @@ def matrix_from_obj(obj):
     if not isinstance(obj, dict) or "n" not in obj:
         raise ValueError("matrix object must be a dict with an 'n' field")
     try:
-        n = int(obj["n"])
+        n = obj["n"]
+        if isinstance(n, (str, bool)) or n != int(n):
+            raise ValueError(f"matrix object 'n' must be an integer, got {n!r}")
         if "phase_turns" in obj:
             m = np.exp(2j * np.pi * _finite(obj["phase_turns"]))
         elif "re" in obj and "im" in obj:

@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FINGERPRINT_HADAMARD_TOL, as_matrix, fingerprint, fingerprint_distances
-from .core import is_hadamard, modulus_defect, unitarity_defect
+from .core import FINGERPRINT_HADAMARD_TOL, _anchored_forms, as_matrix, fingerprint
+from .core import fingerprint_distances, is_hadamard, modulus_defect, unitarity_defect
 from .equivalence import are_equivalent
 from .errors import NotHadamard, OrderUnsupported, SingularZ
 from .families import _fourier_canonical, dita_d6, family_h, fourier_f6
@@ -18,9 +18,6 @@ from .families import _fourier_canonical, dita_d6, family_h, fourier_f6
 CLASSIFY_PRECISION = 6
 # fingerprint distance below 1e-4 per multiset element is float noise
 CLASSIFY_THRESHOLD_PER_VALUE = 1e-4
-# classify's inputs must be Hadamard within this, and its labels are exact
-# equivalences at this tolerance
-_CLASSIFY_TOL = 1e-8
 
 
 @dataclass
@@ -88,7 +85,7 @@ def project_search(cfg=None):
 
 
 # A quadruple product within this of -1 marks a 2x2 Hadamard sub-block. An
-# input equivalent to a member within the 10 * _CLASSIFY_TOL that
+# input equivalent to a member within the 10 * FINGERPRINT_HADAMARD_TOL that
 # are_equivalent accepts has its quadruple products within about 4e-7 of the
 # member's, so the member's own block, at exactly -1, always passes; and
 # every quadruple phase that bench/reference.py counts as pi (within 1e-6) does.
@@ -99,15 +96,15 @@ def _pi_cells(h):
     """For each pi-cell of h: its row and its column in the anchored form,
     off the block, (C, 4) each, and the 4x4 interior the block leaves, (C, 16).
 
-    q[a, b] = h * h[a, b] / outer(h[:, b], h[a, :]) is h dephased at the
-    anchor (a, b); its cells off row a and column b are the quadruple
-    products of h, which equivalence moves only permute. A pi-cell
-    (a, b, i, j) has q[a, b, i, j] within _PI_GATE of -1, so rows a, i and
-    columns b, j of q[a, b] are the block [[1, 1], [1, -1]]. The image of a
-    member's own block is a pi-cell whose row, column and interior are the
-    member's anchored form up to the order of entries and conjugation.
+    q = core._anchored_forms(h), where q[a, b] is h dephased at the anchor
+    (a, b); equivalence moves only permute its cells off row a and column
+    b, the quadruple products of h. A pi-cell (a, b, i, j) has
+    q[a, b, i, j] within _PI_GATE of -1, so rows a, i and columns b, j of
+    q[a, b] are the block [[1, 1], [1, -1]]. The image of a member's own
+    block is a pi-cell whose row, column and interior are the member's
+    anchored form up to the order of entries and conjugation.
     """
-    q = h * h[:, :, None, None] / (h.T[None, :, :, None] * h[:, None, None, :])
+    q = _anchored_forms(h)
     a, b, i, j = np.nonzero(np.abs(q + 1.0) < _PI_GATE)
     forms, cell, line = q[a, b], np.arange(a.size), np.arange(6)
     off_rows = (line != a[:, None]) & (line != i[:, None])
@@ -244,15 +241,17 @@ def classify(h, grid_n=24):
     Every labelled member has a 2x2 Hadamard sub-block, so candidate
     parameters are read off the input's pi-cells (see _pi_cells), ranked by
     fingerprint distance, and confirmed in that order by exact equivalence
-    at 1e-8; the first confirmed member gives the label, its canonical
-    parameters and its fingerprint distance. An input with no pi-cell, or
-    none whose read-off confirms, is `unknown`, with the least fingerprint
-    distance to the members of _PANEL. grid_n is accepted and unused."""
+    at FINGERPRINT_HADAMARD_TOL, the tolerance inputs must meet; the first
+    confirmed member gives the label, its canonical parameters and its
+    fingerprint distance. An input with no pi-cell, or none whose read-off
+    confirms, is `unknown`, with the least fingerprint distance to the
+    members of _PANEL. grid_n is accepted and unused."""
     h = as_matrix(h)
     if h.shape[0] != 6:
         raise OrderUnsupported("classification is order-6 only")
-    if not is_hadamard(h, _CLASSIFY_TOL):
-        raise NotHadamard(f"classify needs a Hadamard matrix within {_CLASSIFY_TOL}")
+    tol = FINGERPRINT_HADAMARD_TOL
+    if not is_hadamard(h, tol):
+        raise NotHadamard(f"classify needs a Hadamard matrix within {tol}")
     fq = fingerprint(h, CLASSIFY_PRECISION)
     cells = _pi_cells(h)
     threshold = CLASSIFY_THRESHOLD_PER_VALUE * len(fq)
@@ -264,8 +263,8 @@ def classify(h, grid_n=24):
                 break
             for params, member in images(points[k]):
                 if (
-                    is_hadamard(member, _CLASSIFY_TOL)
-                    and are_equivalent(h, member, tol=_CLASSIFY_TOL).decision == "equivalent"
+                    is_hadamard(member, tol)
+                    and are_equivalent(h, member, tol=tol).decision == "equivalent"
                 ):
                     return Classification(label, tuple(float(x) for x in params), float(d[k]))
     distance = min(_distances(build, fq)(points).min() for build, points in _PANEL)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from hadamard6 import (
     apply_equivalence,
+    are_equivalent,
     border_h,
     dita_corner,
     dita_d6,
@@ -125,6 +127,46 @@ def test_fingerprint_verb(tmp_path, capsys):
     assert obj["precision"] == 6
     assert len(obj["values"]) == 900
     assert obj["values"] == sorted(obj["values"])
+
+
+# The enumeration returns its first witness, column permutation outer and row
+# permutation inner, both lexicographic; dita_d6(0) has many automorphisms,
+# so several witnesses exist for its image.
+_PINNED_WITNESSES = (
+    (
+        family_h(0.37, 0.21),
+        apply_equivalence(family_h(0.37, 0.21), random_witness(6, np.random.default_rng(3))),
+        (4, 3, 2, 1, 5, 0),
+        (2, 4, 3, 1, 5, 0),
+        "d46c21606c4ab02fc620388b3f121a17043d96f944280c0f1667de265ea2ba34",
+    ),
+    (
+        dita_d6(0.0),
+        apply_equivalence(dita_d6(0.0), random_witness(6, np.random.default_rng(4))),
+        (3, 2, 0, 4, 5, 1),
+        (0, 1, 3, 2, 5, 4),
+        "f4ee48bb5c17cc11c944c1013060d977c4e6cbbc481354e016087e5cdc6d7cc9",
+    ),
+    (
+        fourier_f6(0.0, 0.0),
+        fourier_f6(0.0, 0.0).T,
+        (0, 1, 2, 3, 4, 5),
+        (0, 1, 2, 3, 4, 5),
+        "93bb918702b231dec12bfba16c9f2d2aa11af4a0bd91247b064bb9a3266130d5",
+    ),
+)
+
+
+def test_equiv_witness_choice_pinned(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for h1, h2, row_perm, col_perm, digest in _PINNED_WITNESSES:
+        w = are_equivalent(h1, h2).witness
+        assert (w.row_perm, w.col_perm) == (row_perm, col_perm)
+        io.write_matrix(str(a), h1)
+        io.write_matrix(str(b), h2)
+        code, out, err = run(capsys, "equiv", "--a", str(a), "--b", str(b))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_scan_csv(tmp_path, capsys):
@@ -315,6 +357,18 @@ def test_nan_entry_rejected(tmp_path, capsys):
             for family, flag in (("h", "--x1"), ("d6", "--c")):
                 argv = ("gen", "--family", family, f"{flag}={value}")
                 assert run(capsys, *argv) == (1, "", "ValueError\n")
+
+
+def test_precision_and_n_out_of_contract(tmp_path, capsys):
+    # np.round overflowed to NaN phases at precision 400, and n = "6" was read as 6
+    path = tmp_path / "h.json"
+    io.write_matrix(str(path), fourier_f6(0.4, 0.9))
+    argv = ("fingerprint", "--in", str(path), "--precision", "400")
+    assert run(capsys, *argv) == (1, "", "ValueError\n")
+    obj = io.matrix_to_obj(fourier_f6(0.4, 0.9))
+    for n in ("6", 6.7):
+        path.write_text(json.dumps({**obj, "n": n}))
+        assert run(capsys, "verify", "--in", str(path)) == (1, "", "ValueError\n")
 
 
 def test_search_runs_must_be_positive(capsys):

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import math
 import pickle
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -191,6 +193,34 @@ def test_fingerprint_contract():
     assert fp.distance(other) == tuple_l1
 
 
+def test_fingerprint_is_a_dataclass():
+    fp = fingerprint(family_h(0.37, 0.21), 6)
+    assert [f.name for f in dataclasses.fields(fp)] == ["values", "rounding"]
+    assert dataclasses.asdict(fp) == {"values": fp.values, "rounding": 6}
+    back = pickle.loads(pickle.dumps(fp))
+    assert np.array_equal(back.phases, fp.phases)
+    assert not back.phases.flags.writeable
+    again = dataclasses.replace(fp, rounding=8)
+    assert again == Fingerprint(fp.values, 8)
+    assert np.array_equal(again.phases, fp.phases) and not again.phases.flags.writeable
+    assert dataclasses.replace(fp) == fp
+
+
+def test_fingerprint_precision_out_of_range():
+    # np.round overflowed: from 308 up these phases of pi came back 0.0, and
+    # from -309 down NaN
+    h2 = np.array([[1, 1], [1, -1]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for precision in (307, -308):
+            assert np.isfinite(fingerprint(h2, precision).phases).all()
+        for precision in (308, -309, 10**400):
+            with pytest.raises(ValueError):
+                fingerprint(h2, precision)
+        with pytest.raises(ValueError):
+            fingerprint_distances(np.stack([h2]), Fingerprint((0.0,) * 4, rounding=400))
+
+
 def test_matrix_json_roundtrip():
     m = family_h(0.3, 0.2)
     back = io.matrix_from_obj(io.matrix_to_obj(m))
@@ -208,6 +238,15 @@ def test_matrix_obj_malformed():
         io.matrix_from_obj({"n": 3, "re": [[1.0] * 2] * 2, "im": [[0.0] * 2] * 2})
     with pytest.raises(ValueError):
         io.matrix_from_obj({"n": 2})
+
+
+def test_matrix_obj_n_must_be_an_integer():
+    entries = {"re": [[1.0]], "im": [[0.0]]}
+    for n in ("1", " 1 ", True, 1.5, 1.99):
+        with pytest.raises(ValueError):
+            io.matrix_from_obj({"n": n, **entries})
+    for n in (1, 1.0):
+        assert io.matrix_from_obj({"n": n, **entries}).shape == (1, 1)
 
 
 def test_witness_json_roundtrip(rng):
