@@ -52,10 +52,11 @@ def _positive_int(text):
 def _cmd_gen(args):
     build, names = FAMILIES[args.family]
     values = [getattr(args, name) for name in names]
-    if not all(math.isfinite(v) for v in values if not isinstance(v, str)):
-        raise ValueError("gen needs finite angles")
     if args.turns:  # border's axis is a string, every other parameter an angle
         values = [v if isinstance(v, str) else v * 2 * math.pi for v in values]
+    # after the scaling, which can overflow to inf
+    if not all(math.isfinite(v) for v in values if not isinstance(v, str)):
+        raise ValueError("gen needs finite angles")
     return io.matrix_to_obj(build(*values))
 
 

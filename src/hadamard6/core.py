@@ -67,9 +67,19 @@ def unitarity_defect(m):
     return float(_unitarity_defects(as_matrix(m)))
 
 
-def is_hadamard(m, tol=DEFAULT_TOL):
+def _check_tol(tol):
     if not 0 < tol < np.inf:
         raise ValueError("tol must be a finite positive number")
+
+
+def _check_precision(precision):
+    # beyond these, np.round's scaling by 10**precision overflows near 2pi
+    if not -308 <= precision <= 307:
+        raise ValueError(f"precision must lie in [-308, 307], got {precision}")
+
+
+def is_hadamard(m, tol=DEFAULT_TOL):
+    _check_tol(tol)
     return _hadamard_within(as_matrix(m), tol)
 
 
@@ -232,9 +242,7 @@ def _quadruple_phases(m):
 
 def _rounded_sorted(theta, precision):
     """Round phases to precision and sort along the last axis."""
-    # beyond these, np.round's scaling by 10**precision overflows near 2pi
-    if not -308 <= precision <= 307:
-        raise ValueError(f"precision must lie in [-308, 307], got {precision}")
+    _check_precision(precision)
     r = np.round(theta, precision)
     # rounding can push a phase just below 2pi up onto the branch cut
     r[r >= round(2 * np.pi, precision)] = 0.0

@@ -19,6 +19,8 @@ from .core import (
     FINGERPRINT_PRECISION,
     EquivalenceWitness,
     _anchored_forms,
+    _check_precision,
+    _check_tol,
     _quadruple_phases,
     apply_equivalence,
     as_matrix,
@@ -55,6 +57,8 @@ def fingerprint_match(h1, h2, precision=FINGERPRINT_PRECISION, tol=DEFAULT_TOL):
     r >= 1. 10**-precision covers float noise and the O(1e-7) factor, so
     every pair the enumeration would accept passes.
     """
+    _check_tol(tol)
+    _check_precision(precision)
     h1, h2 = as_matrix(h1), as_matrix(h2)
     if h1.shape != h2.shape:
         raise DimensionMismatch(f"orders differ: {h1.shape[0]} vs {h2.shape[0]}")

@@ -9,15 +9,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FINGERPRINT_HADAMARD_TOL, _anchored_forms, as_matrix, fingerprint
-from .core import fingerprint_distances, is_hadamard, modulus_defect, unitarity_defect
+from .core import FINGERPRINT_HADAMARD_TOL, _anchored_forms, _check_tol, as_matrix, fingerprint
+from .core import is_hadamard, modulus_defect, unitarity_defect
 from .equivalence import are_equivalent
 from .errors import NotHadamard, OrderUnsupported, SingularZ
 from .families import _fourier_canonical, dita_d6, family_h, fourier_f6
 
 CLASSIFY_PRECISION = 6
-# fingerprint distance below 1e-4 per multiset element is float noise
-CLASSIFY_THRESHOLD_PER_VALUE = 1e-4
 
 
 @dataclass
@@ -33,8 +31,7 @@ class SearchConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not 0 < self.tol < np.inf:
-            raise ValueError("tol must be a finite positive number")
+        _check_tol(self.tol)
 
 
 @dataclass
@@ -159,49 +156,17 @@ def _h_read_off(rows, cols, interior):
     return _unique(x, lambda p: sorted(np.abs(p)))
 
 
-# matrices per fingerprint_distances call in classify; stacks of 16 or 32
-# were no faster and raised peak memory
-_CHUNK = 8
-
-
-def _distances(build, fq):
-    """classify's ranking for one family: dist(points) is the array of
-    fingerprint distances from fq to build(p) over a sequence of points, inf
-    where build raises SingularZ or gives a matrix that is not Hadamard
-    within FINGERPRINT_HADAMARD_TOL (family_h very near a singular corner)."""
-
-    def dist(points):
-        points = np.asarray(points, dtype=float)
-        out = np.full(len(points), np.inf)
-        # a chunk's matrices are built only when it is due, so no call holds
-        # more than _CHUNK matrices at once
-        for start in range(0, len(points), _CHUNK):
-            mats, rows = [], []
-            for row in range(start, min(start + _CHUNK, len(points))):
-                try:
-                    m = build(points[row])
-                except SingularZ:
-                    continue
-                if is_hadamard(m, FINGERPRINT_HADAMARD_TOL):
-                    mats.append(m)
-                    rows.append(row)
-            if mats:
-                out[rows] = fingerprint_distances(np.stack(mats), fq)
-        return out
-
-    return dist
-
-
-def _d6(p):
-    return dita_d6(p[0])
-
-
-def _fourier(p):
-    return fourier_f6(*p)
-
-
-def _h(p):
-    return family_h(*p)
+def _distance(build, p, fq):
+    """The fingerprint distance from fq to build(*p), inf where build raises
+    SingularZ or gives a matrix that is not Hadamard within
+    FINGERPRINT_HADAMARD_TOL (family_h very near a singular corner)."""
+    try:
+        m = build(*p)
+    except SingularZ:
+        return np.inf
+    if not is_hadamard(m, FINGERPRINT_HADAMARD_TOL):
+        return np.inf
+    return fingerprint(m, fq.rounding).distance(fq)
 
 
 def _h_images(p):
@@ -219,18 +184,18 @@ def _h_images(p):
 # is tried before any F6T one (a matrix and its transpose share a fingerprint).
 _STAGES = (
     # dita_d6(-c) is equivalent to the transpose of dita_d6(c)
-    ("D6", _d6, _d6_read_off, lambda p: [((abs(p[0]),), dita_d6(s * abs(p[0]))) for s in (1, -1)]),
-    ("F6-slice", _fourier, lambda r, c, i: _fourier_read_off(r), lambda p: [(p, fourier_f6(*p))]),
-    ("F6T-slice", _fourier, lambda r, c, i: _fourier_read_off(c), lambda p: [(p, fourier_f6(*p).T)]),
-    ("H-family", _h, _h_read_off, _h_images),
+    ("D6", dita_d6, _d6_read_off, lambda p: [((abs(p[0]),), dita_d6(s * abs(p[0]))) for s in (1, -1)]),
+    ("F6-slice", fourier_f6, lambda r, c, i: _fourier_read_off(r), lambda p: [(p, fourier_f6(*p))]),
+    ("F6T-slice", fourier_f6, lambda r, c, i: _fourier_read_off(c), lambda p: [(p, fourier_f6(*p).T)]),
+    ("H-family", family_h, _h_read_off, _h_images),
 )
 
 # `unknown` reports the least fingerprint distance to these members: each
 # family's builder on a fixed coarse grid of its parameter box
 _PANEL = (
-    (_d6, [(c,) for c in np.linspace(-np.pi / 4, np.pi / 4, 9)]),
-    (_fourier, list(product(np.arange(4) * np.pi / 4, repeat=2))),
-    (_h, list(product((np.arange(6) + 0.5) * np.pi / 6 - np.pi / 2, repeat=2))),
+    (dita_d6, [(c,) for c in np.linspace(-np.pi / 4, np.pi / 4, 9)]),
+    (fourier_f6, list(product(np.arange(4) * np.pi / 4, repeat=2))),
+    (family_h, list(product((np.arange(6) + 0.5) * np.pi / 6 - np.pi / 2, repeat=2))),
 )
 
 
@@ -243,9 +208,16 @@ def classify(h, grid_n=24):
     fingerprint distance, and confirmed in that order by exact equivalence
     at FINGERPRINT_HADAMARD_TOL, the tolerance inputs must meet; the first
     confirmed member gives the label, its canonical parameters and its
-    fingerprint distance. An input with no pi-cell, or none whose read-off
-    confirms, is `unknown`, with the least fingerprint distance to the
-    members of _PANEL. grid_n is accepted and unused."""
+    fingerprint distance. grid_n is accepted and unused.
+
+    `unknown` is a proof that the input is equivalent to no member of the
+    four families. An input equivalent to a member has the image of the
+    member's own block among its pi-cells, whose read-off gives the member's
+    parameters up to the family's orbit. Every candidate read off is
+    confirmed or refuted by are_equivalent, whose `inequivalent` is a proof;
+    the only ones skipped, at infinite distance, are points whose builder
+    cannot give a Hadamard matrix, so no member lies there. An `unknown`
+    reports the least fingerprint distance to the members of _PANEL."""
     h = as_matrix(h)
     if h.shape[0] != 6:
         raise OrderUnsupported("classification is order-6 only")
@@ -254,12 +226,12 @@ def classify(h, grid_n=24):
         raise NotHadamard(f"classify needs a Hadamard matrix within {tol}")
     fq = fingerprint(h, CLASSIFY_PRECISION)
     cells = _pi_cells(h)
-    threshold = CLASSIFY_THRESHOLD_PER_VALUE * len(fq)
     for label, build, read_off, images in _STAGES:
         points = read_off(*cells)
-        d = _distances(build, fq)(points)
+        d = np.array([_distance(build, p, fq) for p in points])
+        # inf sorts last, so the points after the first are all skipped
         for k in np.argsort(d, kind="stable"):
-            if d[k] > threshold:
+            if d[k] == np.inf:
                 break
             for params, member in images(points[k]):
                 if (
@@ -267,5 +239,5 @@ def classify(h, grid_n=24):
                     and are_equivalent(h, member, tol=tol).decision == "equivalent"
                 ):
                     return Classification(label, tuple(float(x) for x in params), float(d[k]))
-    distance = min(_distances(build, fq)(points).min() for build, points in _PANEL)
+    distance = min(_distance(build, p, fq) for build, points in _PANEL for p in points)
     return Classification("unknown", None, float(distance))

@@ -357,6 +357,10 @@ def test_nan_entry_rejected(tmp_path, capsys):
             for family, flag in (("h", "--x1"), ("d6", "--c")):
                 argv = ("gen", "--family", family, f"{flag}={value}")
                 assert run(capsys, *argv) == (1, "", "ValueError\n")
+        # finite angles whose --turns scaling overflows to inf
+        for family, flag in (("h", "--x1"), ("d6", "--c")):
+            argv = ("gen", "--family", family, f"{flag}=1e308", "--turns")
+            assert run(capsys, *argv) == (1, "", "ValueError\n")
 
 
 def test_precision_and_n_out_of_contract(tmp_path, capsys):

@@ -55,6 +55,15 @@ def test_fingerprint_match():
     assert fingerprint_match(h, apply_equivalence(h, random_witness(6, np.random.default_rng(1))))
     with pytest.raises(DimensionMismatch):
         fingerprint_match(fourier_f6(0.0, 0.0), np.ones((2, 2), dtype=complex))
+    # a NaN tol answered False, a non-certificate, for identical matrices,
+    # and precision -400 overflowed in 10.0**-precision
+    for tol in (float("nan"), float("inf"), 0.0, -1e-8):
+        with pytest.raises(ValueError, match="tol must be a finite positive number"):
+            fingerprint_match(h, h, tol=tol)
+    for precision in (-400, -309, 308):
+        with pytest.raises(ValueError, match=r"precision must lie in \[-308, 307\]"):
+            fingerprint_match(h, h, precision=precision)
+    assert fingerprint_match(h, h, precision=-308) and fingerprint_match(h, h, precision=307)
 
 
 def test_screen_margin_follows_tol():

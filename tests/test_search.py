@@ -3,11 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from hadamard6 import (
     NotHadamard,
     OrderUnsupported,
     SearchConfig,
+    SingularZ,
     apply_equivalence,
     border_h,
     classify,
@@ -23,9 +26,11 @@ from hadamard6 import (
     symmetric_m,
     unitarity_defect,
 )
+from hadamard6.core import FINGERPRINT_HADAMARD_TOL
+from hadamard6.families import FAMILIES
 from hadamard6.search import (
     CLASSIFY_PRECISION,
-    _distances,
+    _distance,
     _fourier_canonical,
     _pi_cells,
 )
@@ -148,18 +153,15 @@ def test_classify_guards():
 
 def test_classify_distances():
     fq = fingerprint(family_h(0.37, 0.21), CLASSIFY_PRECISION)
-    dist = _distances(lambda p: family_h(*p), fq)
-    # more points than one kernel call takes, with a singular one between
     points = [(0.3 + 0.01 * i, 0.2 - 0.005 * i) for i in range(70)]
     points[40] = (np.pi / 2, -np.pi / 2)  # family_h raises SingularZ here
-    d = dist(points)
-    assert d.shape == (70,)
-    assert d[40] == np.inf
     for i, p in enumerate(points):
-        if i != 40:
-            assert d[i] == fingerprint(family_h(*np.asarray(p)), CLASSIFY_PRECISION).distance(fq)
-    assert dist([(0.37, 0.21)])[0] == 0.0
-    assert dist([]).shape == (0,)
+        d = _distance(family_h, p, fq)
+        if i == 40:
+            assert d == np.inf
+        else:
+            assert d == fingerprint(family_h(*p), CLASSIFY_PRECISION).distance(fq)
+    assert _distance(family_h, (0.37, 0.21), fq) == 0.0
 
 
 def test_pi_cells():
@@ -223,6 +225,80 @@ def test_classify_recovers_every_family():
             got = classify(apply_equivalence(m, random_witness(6, rng)))
             assert got.label == label
             assert np.max(np.abs(np.array(got.params) - params)) < 1e-9
+
+
+_HALF = st.floats(-np.pi / 2, np.pi / 2)
+_TURN = st.floats(0.0, 2 * np.pi)
+# each FAMILIES tag's whole parameter box
+_BOXES = {
+    "f6": st.tuples(_TURN, _TURN),
+    "f6t": st.tuples(_TURN, _TURN),
+    "d6": st.tuples(st.floats(-np.pi / 4, np.pi / 4)),
+    "h": st.tuples(_HALF, _HALF),
+    "sym": st.tuples(_HALF),
+    "selfadj": st.tuples(_HALF),
+    "corner": st.tuples(st.floats(-np.pi / 4, np.pi / 4, exclude_min=True, exclude_max=True)),
+    "border": st.tuples(st.sampled_from(("x1", "x2")), _HALF),
+}
+
+
+def _gap(u, v):
+    """The distance between the angles u and v mod pi."""
+    return abs((u - v + np.pi / 2) % np.pi - np.pi / 2)
+
+
+def _expected(tag, p):
+    """The label and parameters classify gives the member tag builds from p,
+    or None for a member that an earlier stage shares: those take the
+    earlier label (test_classify_edge_panel pins some)."""
+    if tag in ("d6", "corner"):
+        return "D6", (abs(p[0]),)
+    if tag in ("f6", "f6t"):
+        params = _fourier_canonical(*p)
+        # the Fourier matrix is equivalent to its transpose
+        if tag == "f6t" and max(_gap(x, 0.0) for x in params) < 1e-6:
+            return None
+        return ("F6-slice" if tag == "f6" else "F6T-slice"), params
+    if tag == "border":
+        x1, x2 = (p[1], np.pi / 2) if p[0] == "x1" else (np.pi / 2, p[1])
+    elif tag == "h":
+        x1, x2 = p
+    else:  # sym is family_h(x, x) with two rows swapped, selfadj family_h(x, -x)
+        x1, x2 = p[0], p[0] if tag == "sym" else -p[0]
+    # family_h(x1, 0) is an F6 member and family_h(0, x2) an F6T one
+    if min(_gap(x1, 0.0), _gap(x2, 0.0)) < 1e-6:
+        return None
+    return "H-family", (abs(x1), abs(x2))
+
+
+@pytest.mark.parametrize("tag", list(FAMILIES))
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=5, deadline=None, derandomize=True)
+def test_classify_family_boxes(tag, data, seed):
+    # members drawn from a tag's whole box, under random witnesses, get the
+    # parent family's label with parameters near the orbit. Not within the
+    # 1e-9 of test_classify_recovers_every_family: read-off points within
+    # the confirmation tolerance of each other tie at fingerprint distance
+    # 0 and the first confirms, so dita_d6(1e-8) may come back as D6 (0,)
+    # and fourier_f6(1, 1e-8) as F6-slice (0, 2.14159266)
+    p = data.draw(_BOXES[tag])
+    try:
+        m = FAMILIES[tag][0](*p)
+    except SingularZ:
+        reject()
+    expected = _expected(tag, p)
+    # near a singular corner family_h's members stop being Hadamard
+    if expected is None or not is_hadamard(m, FINGERPRINT_HADAMARD_TOL):
+        reject()
+    cases = [(m, *expected)]
+    if tag == "h":
+        # the transpose of family_h(u, v) is the member at (v, u)
+        cases.append((m.T, "H-family", expected[1][::-1]))
+    rng = np.random.default_rng(seed)
+    for member, label, params in cases:
+        got = classify(apply_equivalence(member, random_witness(6, rng)))
+        assert got.label == label
+        assert max(map(_gap, got.params, params)) < 1e-6
 
 
 # the search outputs of 1,200 runs whose quadruple phases come nearest to pi,
