@@ -217,15 +217,21 @@ def _fourier_canonical(a, b):
     """Representative of the verified parameter orbit
     (a,b) ~ (a + k pi/3, b - k pi/3) ~ (a + pi, b) ~ (a, b + pi) ~ (-a, -b)
     ~ (b, a) ~ (b - a, b): of all images reduced mod pi, the smallest a, then
-    the larger of the two b that go with it, b and (a - b) mod pi."""
+    the larger of the two b that go with it, b and (a - b) mod pi.
+
+    a and b may be arrays of one shape, one pair per element; the result is
+    two arrays of that shape."""
     images = []
     # the identity and the order-3 rotations (a, b) -> (b - a, -a), (-b, a - b)
     for p, q in ((a, b), (b - a, -a), (-b, a - b)):
         for u, v in ((p, q), (q, p), (-p, -q), (-q, -p)):
             for t in (0.0, _FOURIER_SHIFT, 2 * _FOURIER_SHIFT):
                 images.append((u + t, v - t))
-    a, b = min(map(tuple, _mod_pi(np.array(images, dtype=float)).tolist()))
-    return a, max(b, float(_mod_pi(a - b)))
+    u, v = _mod_pi(np.array(images)).swapaxes(0, 1)
+    # the lexicographic least image: the least u, then the least v beside it
+    a = u.min(axis=0)
+    b = np.where(u == a, v, np.inf).min(axis=0)
+    return a, np.maximum(b, _mod_pi(a - b))
 
 
 def symmetric_m(x):

@@ -4,13 +4,14 @@ sub-blocks."""
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from .core import FINGERPRINT_HADAMARD_TOL, _anchored_forms, _check_tol, as_matrix, fingerprint
-from .core import is_hadamard, modulus_defect, unitarity_defect
+from .core import fingerprint_distances, is_hadamard, modulus_defect, unitarity_defect
 from .equivalence import are_equivalent
 from .errors import NotHadamard, OrderUnsupported, SingularZ
 from .families import _fourier_canonical, dita_d6, family_h, fourier_f6
@@ -112,11 +113,12 @@ def _pi_cells(h):
     return rows, cols, interior
 
 
-def _unique(points, key=lambda p: p):
-    """The points (K, d) whose key, rounded to 9 digits, was not seen before."""
+def _unique(points, keys=None):
+    """The points (K, d) whose key, their row of keys (K, e) rounded to 9
+    digits (the points themselves by default), was not seen before."""
     seen = {}
-    for p in points:
-        seen.setdefault(tuple(np.round(key(p), 9)), p)
+    for p, k in zip(points, np.round(points if keys is None else keys, 9)):
+        seen.setdefault(tuple(k), p)
     return np.array(list(seen.values()), dtype=float).reshape(-1, points.shape[1])
 
 
@@ -142,18 +144,19 @@ def _fourier_read_off(lines):
     # fourier_f6's block row (row 3 at anchor (0, 0)) holds -z1, z2, z1, -z2:
     # two pairs of opposite entries, whose angles mod pi are (a, b) up to
     # the family's orbit
-    pairs = []
+    a, b = [], []
     for k, l, m in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
         keep = (abs(lines[:, 0] + lines[:, k]) < _PI_GATE) & (abs(lines[:, l] + lines[:, m]) < _PI_GATE)
-        pairs.extend(zip(_half_angles(lines[keep, 0]), _half_angles(lines[keep, l])))
-    return _unique(np.array([_fourier_canonical(*p) for p in pairs]).reshape(-1, 2))
+        a.append(_half_angles(lines[keep, 0]))
+        b.append(_half_angles(lines[keep, l]))
+    return _unique(np.stack(_fourier_canonical(np.concatenate(a), np.concatenate(b)), axis=-1))
 
 
 def _h_read_off(rows, cols, interior):
     # family_h's block row and column (row and column 1) hold +-z1 and +-z2
     keep = _all_within(rows, rows[:, :1] ** 2) & _all_within(cols, cols[:, :1] ** 2)
     x = np.stack([_half_angles(rows[keep, 0]), _half_angles(cols[keep, 0])], axis=-1)
-    return _unique(x, lambda p: sorted(np.abs(p)))
+    return _unique(x, np.sort(np.abs(x), axis=1))
 
 
 def _distance(build, p, fq):
@@ -199,6 +202,21 @@ _PANEL = (
 )
 
 
+# fingerprint_distances makes a few (K, 900) temporaries: K = 8 keeps them
+# about 100 KB each, where all 61 members at once raise the process's peak
+# memory by about 2.5 MB and run slower
+_PANEL_CHUNK = 8
+
+
+@lru_cache(maxsize=None)
+def _panel_stack():
+    """_PANEL's 61 members as one read-only stack (61, 6, 6), built once; each
+    is Hadamard within FINGERPRINT_HADAMARD_TOL, so none is skipped."""
+    stack = np.array([build(*p) for build, points in _PANEL for p in points])
+    stack.flags.writeable = False
+    return stack
+
+
 def classify(h, grid_n=24):
     """Label an order-6 Hadamard matrix F6-slice, F6T-slice, H-family, D6 or
     unknown.
@@ -239,5 +257,9 @@ def classify(h, grid_n=24):
                     and are_equivalent(h, member, tol=tol).decision == "equivalent"
                 ):
                     return Classification(label, tuple(float(x) for x in params), float(d[k]))
-    distance = min(_distance(build, p, fq) for build, points in _PANEL for p in points)
+    stack = _panel_stack()
+    distance = min(
+        fingerprint_distances(stack[k:k + _PANEL_CHUNK], fq).min()
+        for k in range(0, len(stack), _PANEL_CHUNK)
+    )
     return Classification("unknown", None, float(distance))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -26,12 +27,14 @@ from hadamard6 import (
     symmetric_m,
     unitarity_defect,
 )
-from hadamard6.core import FINGERPRINT_HADAMARD_TOL
-from hadamard6.families import FAMILIES
+from hadamard6.core import FINGERPRINT_HADAMARD_TOL, fingerprint_distances
+from hadamard6.families import FAMILIES, _FOURIER_SHIFT, _WRAP_NOISE, _mod_pi
 from hadamard6.search import (
     CLASSIFY_PRECISION,
+    _PANEL,
     _distance,
     _fourier_canonical,
+    _panel_stack,
     _pi_cells,
 )
 
@@ -136,12 +139,59 @@ def test_fourier_canonical_is_orbit_invariant():
         assert np.max(np.abs(one - _fourier_canonical(b, a))) < 1e-12
 
 
+def _fourier_canonical_one(a, b):
+    """One pair at a time, with Python floats and a tuple minimum: the
+    reference the array form must match bit for bit."""
+    images = []
+    for p, q in ((a, b), (b - a, -a), (-b, a - b)):
+        for u, v in ((p, q), (q, p), (-p, -q), (-q, -p)):
+            for t in (0.0, _FOURIER_SHIFT, 2 * _FOURIER_SHIFT):
+                images.append((u + t, v - t))
+    a, b = min(map(tuple, _mod_pi(np.array(images, dtype=float)).tolist()))
+    return a, max(b, float(_mod_pi(a - b)))
+
+
+def test_fourier_canonical_arrays():
+    rng = np.random.default_rng(14)
+    edges = [(0.0, 0.0), (-0.0, 0.0), (np.pi / 3, 0.0), (0.0, np.pi), (np.pi / 3, 2 * np.pi / 3)]
+    # pairs on and around multiples of pi, inside and just outside the wrap noise
+    near = [
+        (k * np.pi + e, j * np.pi - e)
+        for k, j in ((0, 1), (1, 0), (-2, 3), (3, -1))
+        for e in (0.0, _WRAP_NOISE / 10, _WRAP_NOISE / 2, -_WRAP_NOISE / 2, 2 * _WRAP_NOISE)
+    ]
+    pairs = np.concatenate([rng.uniform(-10, 10, (2000, 2)), edges, near])
+    a, b = _fourier_canonical(pairs[:, 0], pairs[:, 1])
+    assert a.shape == b.shape == (len(pairs),)
+    want = np.array([_fourier_canonical_one(float(x), float(y)) for x, y in pairs])
+    assert np.stack([a, b], axis=-1).tobytes() == want.tobytes()
+    # one pair per element, whatever the shape
+    a2, b2 = _fourier_canonical(pairs[:, 0].reshape(-1, 5), pairs[:, 1].reshape(-1, 5))
+    assert a2.tobytes() == a.tobytes() and b2.tobytes() == b.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = _fourier_canonical(np.array([]), np.array([]))
+    assert a.shape == b.shape == (0,)
+
+
 def test_classify_outside_known_families():
     assert is_hadamard(SPECTRAL_SIX, 1e-12)
     c = classify(SPECTRAL_SIX)
     assert c.label == "unknown"
     assert c.params is None
     assert c.distance > 0.09
+
+
+def test_classify_panel():
+    # unknown's panel: every member is Hadamard, so none needs skipping, and
+    # the least distance is the one a member at a time gives
+    stack = _panel_stack()
+    assert stack.shape == (sum(len(points) for _, points in _PANEL), 6, 6) == (61, 6, 6)
+    assert all(is_hadamard(m, FINGERPRINT_HADAMARD_TOL) for m in stack)
+    assert not stack.flags.writeable
+    fq = fingerprint(SPECTRAL_SIX, CLASSIFY_PRECISION)
+    each = min(_distance(build, p, fq) for build, points in _PANEL for p in points)
+    assert fingerprint_distances(stack, fq).min() == each == classify(SPECTRAL_SIX).distance
 
 
 def test_classify_guards():
@@ -200,6 +250,44 @@ def test_classify_edge_panel():
             c = classify(h)
             assert c.label == label
             assert np.max(np.abs(np.array(c.params) - params)) < 1e-9
+
+
+# one member per FAMILIES tag, for test_classify_outputs_pinned
+_PINNED_MEMBERS = {
+    "f6": (0.4, 0.9),
+    "f6t": (0.4804, 0.6852),
+    "d6": (0.2,),
+    "h": (0.37, 0.21),
+    "sym": (0.5,),
+    "selfadj": (-0.6,),
+    "corner": (0.3,),
+    "border": ("x2", 0.7),
+}
+
+
+def test_classify_outputs_pinned():
+    # the bits of classify's answers, parameters and distances included: two
+    # images of a member of each tag, the edge panel and SPECTRAL_SIX
+    rng = np.random.default_rng(15)
+    inputs = []
+    for tag, params in _PINNED_MEMBERS.items():
+        m = FAMILIES[tag][0](*params)
+        inputs += [apply_equivalence(m, random_witness(6, rng)) for _ in range(2)]
+    a, b = 0.7379612947827312, 0.4448087903966966
+    inputs += [
+        dita_d6(0.0),
+        dita_d6(np.pi / 4),
+        border_h("x1", 0.3),
+        fourier_f6(0.0, 0.0),
+        family_h(0.0, 0.0),
+        family_h(1.05, 0.8),
+        fourier_f6(a, b),
+        SPECTRAL_SIX,
+    ]
+    text = "\n".join(repr(classify(h)) for h in inputs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3e1b2d24bfc7ed011bedbf0d9b8363303ee0318a9e53c6ddb482aed6d48812a5"
+    )
 
 
 def test_classify_recovers_every_family():
