@@ -113,11 +113,10 @@ def _pi_cells(h):
     return rows, cols, interior
 
 
-def _unique(points, keys=None):
-    """The points (K, d) whose key, their row of keys (K, e) rounded to 9
-    digits (the points themselves by default), was not seen before."""
+def _unique(points):
+    """The points (K, d) whose rounding to 9 digits is new, in order."""
     seen = {}
-    for p, k in zip(points, np.round(points if keys is None else keys, 9)):
+    for p, k in zip(points, np.round(points, 9)):
         seen.setdefault(tuple(k), p)
     return np.array(list(seen.values()), dtype=float).reshape(-1, points.shape[1])
 
@@ -156,41 +155,20 @@ def _h_read_off(rows, cols, interior):
     # family_h's block row and column (row and column 1) hold +-z1 and +-z2
     keep = _all_within(rows, rows[:, :1] ** 2) & _all_within(cols, cols[:, :1] ** 2)
     x = np.stack([_half_angles(rows[keep, 0]), _half_angles(cols[keep, 0])], axis=-1)
-    return _unique(x, np.sort(np.abs(x), axis=1))
+    # sign flips of (x1, x2) give equivalent members
+    return _unique(np.abs(x))
 
 
-def _distance(build, p, fq):
-    """The fingerprint distance from fq to build(*p), inf where build raises
-    SingularZ or gives a matrix that is not Hadamard within
-    FINGERPRINT_HADAMARD_TOL (family_h very near a singular corner)."""
-    try:
-        m = build(*p)
-    except SingularZ:
-        return np.inf
-    if not is_hadamard(m, FINGERPRINT_HADAMARD_TOL):
-        return np.inf
-    return fingerprint(m, fq.rounding).distance(fq)
-
-
-def _h_images(p):
-    # sign flips of (x1, x2) give equivalent members and the swap the
-    # transpose, which has the same singular points
-    u, v = abs(float(p[0])), abs(float(p[1]))
-    return [(q, family_h(*q)) for q in dict.fromkeys(((u, v), (v, u)))]
-
-
-# One stage per label, tried in this order: the label, the builder whose
-# fingerprint ranks a read-off point, the read-off (rows, columns and
-# interiors of the pi-cells -> points), and images(p), the (reported
-# params, member) pairs whose member the input must be equivalent to. D6
-# comes first, so the members it shares keep its label, and every F6 point
-# is tried before any F6T one (a matrix and its transpose share a fingerprint).
+# One stage per label, tried in this order: the label, the read-off (rows,
+# columns and interiors of the pi-cells -> points), and members(p), the
+# (reported params, member) pairs whose member the input must be equivalent
+# to. A member two stages share takes the earlier stage's label.
 _STAGES = (
     # dita_d6(-c) is equivalent to the transpose of dita_d6(c)
-    ("D6", dita_d6, _d6_read_off, lambda p: [((abs(p[0]),), dita_d6(s * abs(p[0]))) for s in (1, -1)]),
-    ("F6-slice", fourier_f6, lambda r, c, i: _fourier_read_off(r), lambda p: [(p, fourier_f6(*p))]),
-    ("F6T-slice", fourier_f6, lambda r, c, i: _fourier_read_off(c), lambda p: [(p, fourier_f6(*p).T)]),
-    ("H-family", family_h, _h_read_off, _h_images),
+    ("D6", _d6_read_off, lambda p: [(p, dita_d6(s * p[0])) for s in (1, -1)]),
+    ("F6-slice", lambda r, c, i: _fourier_read_off(r), lambda p: [(p, fourier_f6(*p))]),
+    ("F6T-slice", lambda r, c, i: _fourier_read_off(c), lambda p: [(p, fourier_f6(*p).T)]),
+    ("H-family", _h_read_off, lambda p: [(p, family_h(*p))]),
 )
 
 # `unknown` reports the least fingerprint distance to these members: each
@@ -222,20 +200,22 @@ def classify(h, grid_n=24):
     unknown.
 
     Every labelled member has a 2x2 Hadamard sub-block, so candidate
-    parameters are read off the input's pi-cells (see _pi_cells), ranked by
-    fingerprint distance, and confirmed in that order by exact equivalence
-    at FINGERPRINT_HADAMARD_TOL, the tolerance inputs must meet; the first
+    parameters are read off the input's pi-cells (see _pi_cells) and
+    confirmed in read-off order by exact equivalence at
+    FINGERPRINT_HADAMARD_TOL, the tolerance inputs must meet; the first
     confirmed member gives the label, its canonical parameters and its
     fingerprint distance. grid_n is accepted and unused.
 
     `unknown` is a proof that the input is equivalent to no member of the
     four families. An input equivalent to a member has the image of the
     member's own block among its pi-cells, whose read-off gives the member's
-    parameters up to the family's orbit. Every candidate read off is
-    confirmed or refuted by are_equivalent, whose `inequivalent` is a proof;
-    the only ones skipped, at infinite distance, are points whose builder
-    cannot give a Hadamard matrix, so no member lies there. An `unknown`
-    reports the least fingerprint distance to the members of _PANEL."""
+    parameters up to the family's orbit (for H, in the member's own
+    orientation: its transpose is another member). Every point read off is
+    confirmed or refuted by are_equivalent, whose `inequivalent` is a proof,
+    except where the builder raises SingularZ or gives no Hadamard matrix
+    within the tolerance, as family_h at (pi/2, pi/2), the H read-off of
+    every dita_d6(c): no member lies there. An `unknown` reports the least
+    fingerprint distance to the members of _PANEL."""
     h = as_matrix(h)
     if h.shape[0] != 6:
         raise OrderUnsupported("classification is order-6 only")
@@ -244,19 +224,19 @@ def classify(h, grid_n=24):
         raise NotHadamard(f"classify needs a Hadamard matrix within {tol}")
     fq = fingerprint(h, CLASSIFY_PRECISION)
     cells = _pi_cells(h)
-    for label, build, read_off, images in _STAGES:
-        points = read_off(*cells)
-        d = np.array([_distance(build, p, fq) for p in points])
-        # inf sorts last, so the points after the first are all skipped
-        for k in np.argsort(d, kind="stable"):
-            if d[k] == np.inf:
-                break
-            for params, member in images(points[k]):
+    for label, read_off, members in _STAGES:
+        for p in read_off(*cells):
+            try:
+                images = members(p)
+            except SingularZ:
+                continue
+            for params, member in images:
                 if (
                     is_hadamard(member, tol)
                     and are_equivalent(h, member, tol=tol).decision == "equivalent"
                 ):
-                    return Classification(label, tuple(float(x) for x in params), float(d[k]))
+                    distance = fingerprint(member, CLASSIFY_PRECISION).distance(fq)
+                    return Classification(label, tuple(float(x) for x in params), float(distance))
     stack = _panel_stack()
     distance = min(
         fingerprint_distances(stack[k:k + _PANEL_CHUNK], fq).min()

@@ -32,8 +32,9 @@ from hadamard6.families import FAMILIES, _FOURIER_SHIFT, _WRAP_NOISE, _mod_pi
 from hadamard6.search import (
     CLASSIFY_PRECISION,
     _PANEL,
-    _distance,
+    _STAGES,
     _fourier_canonical,
+    _h_read_off,
     _panel_stack,
     _pi_cells,
 )
@@ -190,7 +191,9 @@ def test_classify_panel():
     assert all(is_hadamard(m, FINGERPRINT_HADAMARD_TOL) for m in stack)
     assert not stack.flags.writeable
     fq = fingerprint(SPECTRAL_SIX, CLASSIFY_PRECISION)
-    each = min(_distance(build, p, fq) for build, points in _PANEL for p in points)
+    each = min(
+        fingerprint(build(*p), CLASSIFY_PRECISION).distance(fq) for build, points in _PANEL for p in points
+    )
     assert fingerprint_distances(stack, fq).min() == each == classify(SPECTRAL_SIX).distance
 
 
@@ -201,17 +204,36 @@ def test_classify_guards():
         classify(np.array([[1, 1], [1, -1]], dtype=complex))
 
 
-def test_classify_distances():
-    fq = fingerprint(family_h(0.37, 0.21), CLASSIFY_PRECISION)
-    points = [(0.3 + 0.01 * i, 0.2 - 0.005 * i) for i in range(70)]
-    points[40] = (np.pi / 2, -np.pi / 2)  # family_h raises SingularZ here
-    for i, p in enumerate(points):
-        d = _distance(family_h, p, fq)
-        if i == 40:
-            assert d == np.inf
-        else:
-            assert d == fingerprint(family_h(*p), CLASSIFY_PRECISION).distance(fq)
-    assert _distance(family_h, (0.37, 0.21), fq) == 0.0
+def test_classify_skips_singular_read_off(monkeypatch):
+    # the H read-off of a D6 member is a point where family_h raises, which
+    # classify skips: no member lies there
+    h = dita_d6(0.3)
+    assert np.array_equal(_h_read_off(*_pi_cells(h)), [(np.pi / 2, np.pi / 2)])
+    with pytest.raises(SingularZ):
+        family_h(np.pi / 2, np.pi / 2)
+    monkeypatch.setattr("hadamard6.search._STAGES", tuple(s for s in _STAGES if s[0] == "H-family"))
+    c = classify(h)
+    assert (c.label, c.params) == ("unknown", None)
+
+
+def test_read_off_holds_member():
+    # the premise of the proof of unknown: an image of a member has the
+    # member's reported parameters among its stage's read-off points, each
+    # orientation of an H member its own
+    rng = np.random.default_rng(16)
+    cases = {label: [] for label, _, _ in _STAGES}
+    for _ in range(20):
+        c = rng.uniform(-np.pi / 4, np.pi / 4)
+        a, b = rng.uniform(0.0, 2 * np.pi, 2)
+        u, v = rng.uniform(-np.pi / 2, np.pi / 2, 2)
+        cases["D6"].append((dita_d6(c), (abs(c),)))
+        cases["F6-slice"].append((fourier_f6(a, b), _fourier_canonical(a, b)))
+        cases["F6T-slice"].append((fourier_f6(a, b).T, _fourier_canonical(a, b)))
+        cases["H-family"] += [(family_h(u, v), (abs(u), abs(v))), (family_h(u, v).T, (abs(v), abs(u)))]
+    for label, read_off, _ in _STAGES:
+        for m, params in cases[label]:
+            points = read_off(*_pi_cells(apply_equivalence(m, random_witness(6, rng))))
+            assert np.abs(points - np.array(params)).max(axis=1).min() < 1e-9
 
 
 def test_pi_cells():
@@ -290,6 +312,24 @@ def test_classify_outputs_pinned():
     )
 
 
+def test_classify_order_outputs_pinned():
+    # inputs where the order in which read-off points are tried could pick
+    # the reported parameters: both orientations of an H member and their
+    # transposes, and points within the tolerance of a degenerate line
+    rng = np.random.default_rng(16)
+    inputs = [family_h(0.7, 0.3), family_h(0.3, 0.7)]
+    inputs += [apply_equivalence(m.T, random_witness(6, rng)) for m in inputs]
+    inputs += [
+        dita_d6(1e-8),
+        dita_d6(5.96e-8),
+        apply_equivalence(fourier_f6(1.0, 1e-8), random_witness(6, np.random.default_rng(0))),
+    ]
+    text = "\n".join(repr(classify(h)) for h in inputs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "28894eacc68c2b3089f993a2fa2df3a55c8cfe9ea60c013414dd56cb9b7bc095"
+    )
+
+
 def test_classify_recovers_every_family():
     # each constructor under random witnesses, parameters within 1e-9 of
     # their canonical representative
@@ -365,10 +405,10 @@ def _expected(tag, p):
 def test_classify_family_boxes(tag, data, seed):
     # members drawn from a tag's whole box, under random witnesses, get the
     # parent family's label with parameters near the orbit. Not within the
-    # 1e-9 of test_classify_recovers_every_family: read-off points within
-    # the confirmation tolerance of each other tie at fingerprint distance
-    # 0 and the first confirms, so dita_d6(1e-8) may come back as D6 (0,)
-    # and fourier_f6(1, 1e-8) as F6-slice (0, 2.14159266)
+    # 1e-9 of test_classify_recovers_every_family: of read-off points
+    # within the confirmation tolerance of each other the first read off
+    # confirms, so dita_d6(1e-8) may come back as D6 (0,) and
+    # fourier_f6(1, 1e-8) as F6-slice (0, 2.14159266)
     p = data.draw(_BOXES[tag])
     try:
         m = FAMILIES[tag][0](*p)
