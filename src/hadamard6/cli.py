@@ -201,8 +201,8 @@ def _build_parser():
 
     p = sub.add_parser("search", help="alternating-projection Hadamard search")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=_positive_int, default=2000)
+    p.add_argument("--tol", type=float, default=SearchConfig.tol)
+    p.add_argument("--max-iter", type=_positive_int, default=SearchConfig.max_iter)
     p.add_argument("--runs", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_search)
 

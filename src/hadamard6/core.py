@@ -144,8 +144,9 @@ def _anchored_forms(h):
     """h dephased at every anchor (a, b), shape (n, n, n, n): q[a, b, i, j] =
     h_ij h_ab / (h_ib h_aj), whose cells off row a and column b are the
     quadruple products of h. search._pi_cells reads every anchor, and
-    equivalence._exhaustive_witness the anchors (a, cp[0]) of each column
-    permutation cp, with the columns in cp's order."""
+    equivalence._exhaustive_witness sorts every anchor's entries once and
+    reads the anchors that survive, with the columns in each permutation's
+    order."""
     return h * h[:, :, None, None] / (h.T[None, :, :, None] * h[:, None, None, :])
 
 

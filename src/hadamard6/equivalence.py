@@ -3,8 +3,8 @@
 Two Hadamard matrices are equivalent when H2 = D2 P2 H1 P1 D1 for
 permutations P and unit-modulus diagonals D. Dephasing kills the diagonals,
 so H1 ~ H2 iff some row/column permutation of H1 dephases to exactly the
-dephased form of H2; the search below enumerates all 6! * 6! permutation
-pairs with an exact multiset prune.
+dephased form of H2; the search below prunes H1's 36 anchors once by their
+sorted entries, then enumerates the 6! * 6! permutation pairs at the rest.
 """
 
 from dataclasses import dataclass
@@ -29,9 +29,9 @@ from .core import (
 )
 from .errors import DimensionMismatch, NotHadamard, OrderUnsupported
 
-_PERMS6 = np.array(list(permutations(range(6))))  # lexicographic
-# row permutations grouped by their image of row 0, lexicographic inside
-_PERMS6_BY_ANCHOR = [_PERMS6[_PERMS6[:, 0] == a] for a in range(6)]
+# the 720 permutations in lexicographic order, as six blocks of 120:
+# _PERMS6[a] holds those that map 0 to a
+_PERMS6 = np.array(list(permutations(range(6)))).reshape(6, 120, 6)
 
 
 @dataclass(frozen=True)
@@ -74,38 +74,36 @@ def fingerprint_match(h1, h2, precision=FINGERPRINT_PRECISION, tol=DEFAULT_TOL):
 def _exhaustive_witness(h1, h2, tol):
     """First witness in (column-outer, row-inner) lexicographic order, or None."""
     h2d, wd = dephase(h2)
-    target_re = np.sort(h2d.real.ravel())
-    target_im = np.sort(h2d.imag.ravel())
     atol = 10.0 * tol
-    prune_tol = atol + 1e-12
     g2 = np.asarray(wd.row_phases)
     g1 = np.asarray(wd.col_phases)
     forms = _anchored_forms(h1)
-
-    for cp in _PERMS6:
-        # q[a] is m = h1[:, cp] dephased at the anchor (a, 0)
-        q = forms[:, cp[0]][:, :, cp]
-        for a in range(6):
-            qa = q[a]
-            # sorting is 1-Lipschitz, so a true match survives this prune
-            if (
-                np.abs(np.sort(qa.real.ravel()) - target_re).max() > prune_tol
-                or np.abs(np.sort(qa.imag.ravel()) - target_im).max() > prune_tol
-            ):
-                continue
-            block = _PERMS6_BY_ANCHOR[a]
-            diffs = np.abs(qa[block] - h2d[None]).reshape(len(block), -1).max(axis=1)
-            hits = np.nonzero(diffs <= atol)[0]
-            if hits.size == 0:
-                continue
-            sigma, m = block[hits[0]], h1[:, cp]
-            # h2[i,j] = conj(g2_i) h2d[i,j] conj(g1_j) and
-            # h2d[i,j] = q[a, sigma_i, j], which factors into witness form
-            rph = np.conj(g2) * m[a, 0] / m[sigma, 0]
-            cph = np.conj(g1) / m[a, :]
-            rph /= np.abs(rph)
-            cph /= np.abs(cph)
-            return EquivalenceWitness(tuple(sigma), tuple(rph), tuple(cp), tuple(cph))
+    # alive[a, b]: the sorted real and imaginary parts of forms[a, b] match
+    # h2d's. A column permutation cp only reorders the entries of the form at
+    # (a, cp[0]), and sorting is 1-Lipschitz, so a true match survives
+    alive = np.ones((6, 6), dtype=bool)
+    for part in (np.real, np.imag):
+        gap = np.sort(part(forms).reshape(6, 6, 36)) - np.sort(part(h2d).ravel())
+        alive &= np.abs(gap).max(axis=-1) <= atol + 1e-12
+    for b in range(6):
+        anchors = np.flatnonzero(alive[:, b])
+        for cp in _PERMS6[b]:
+            for a in anchors:
+                # qa is m = h1[:, cp] dephased at the anchor (a, 0)
+                qa = forms[a, b][:, cp]
+                block = _PERMS6[a]
+                diffs = np.abs(qa[block] - h2d[None]).reshape(len(block), -1).max(axis=1)
+                hits = np.nonzero(diffs <= atol)[0]
+                if hits.size == 0:
+                    continue
+                sigma, m = block[hits[0]], h1[:, cp]
+                # h2[i,j] = conj(g2_i) h2d[i,j] conj(g1_j) and
+                # h2d[i,j] = qa[sigma_i, j], which factors into witness form
+                rph = np.conj(g2) * m[a, 0] / m[sigma, 0]
+                cph = np.conj(g1) / m[a, :]
+                rph /= np.abs(rph)
+                cph /= np.abs(cph)
+                return EquivalenceWitness(tuple(sigma), tuple(rph), tuple(cp), tuple(cph))
     return None
 
 

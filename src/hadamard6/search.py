@@ -161,14 +161,14 @@ def _h_read_off(rows, cols, interior):
 
 # One stage per label, tried in this order: the label, the read-off (rows,
 # columns and interiors of the pi-cells -> points), and members(p), the
-# (reported params, member) pairs whose member the input must be equivalent
-# to. A member two stages share takes the earlier stage's label.
+# members the input must be equivalent to for the label with params p. A
+# member two stages share takes the earlier stage's label.
 _STAGES = (
     # dita_d6(-c) is equivalent to the transpose of dita_d6(c)
-    ("D6", _d6_read_off, lambda p: [(p, dita_d6(s * p[0])) for s in (1, -1)]),
-    ("F6-slice", lambda r, c, i: _fourier_read_off(r), lambda p: [(p, fourier_f6(*p))]),
-    ("F6T-slice", lambda r, c, i: _fourier_read_off(c), lambda p: [(p, fourier_f6(*p).T)]),
-    ("H-family", _h_read_off, lambda p: [(p, family_h(*p))]),
+    ("D6", _d6_read_off, lambda p: [dita_d6(s * p[0]) for s in (1, -1)]),
+    ("F6-slice", lambda r, c, i: _fourier_read_off(r), lambda p: [fourier_f6(*p)]),
+    ("F6T-slice", lambda r, c, i: _fourier_read_off(c), lambda p: [fourier_f6(*p).T]),
+    ("H-family", _h_read_off, lambda p: [family_h(*p)]),
 )
 
 # `unknown` reports the least fingerprint distance to these members: each
@@ -230,13 +230,13 @@ def classify(h, grid_n=24):
                 images = members(p)
             except SingularZ:
                 continue
-            for params, member in images:
+            for member in images:
                 if (
                     is_hadamard(member, tol)
                     and are_equivalent(h, member, tol=tol).decision == "equivalent"
                 ):
                     distance = fingerprint(member, CLASSIFY_PRECISION).distance(fq)
-                    return Classification(label, tuple(float(x) for x in params), float(distance))
+                    return Classification(label, tuple(float(x) for x in p), float(distance))
     stack = _panel_stack()
     distance = min(
         fingerprint_distances(stack[k:k + _PANEL_CHUNK], fq).min()

@@ -1,6 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from hadamard6 import (
@@ -10,15 +12,19 @@ from hadamard6 import (
     apply_equivalence,
     are_equivalent,
     block_compose,
+    dita_corner,
     dita_d6,
     family_h,
     fingerprint_match,
     fourier_f6,
+    is_hadamard,
     transpose,
     verify_witness,
 )
+from hadamard6.errors import SingularZ
+from hadamard6.families import FAMILIES
 
-from conftest import random_witness
+from conftest import FAMILY_BOXES, PINNED_MEMBERS, random_witness
 
 
 def test_witness_image_recovered(rng):
@@ -150,3 +156,52 @@ def test_equivalence_roundtrip_property(seed, x):
     res = are_equivalent(h1, h2)
     assert res.decision == "equivalent"
     assert verify_witness(h1, h2, res.witness) < 1e-8
+
+
+def test_are_equivalent_outputs_pinned():
+    # the bits of are_equivalent's answers, witnesses included, at two
+    # tolerances with the screen on and off: an image of a member of each
+    # tag, the member against the next tag's, and three symmetric pairs
+    rng = np.random.default_rng(17)
+    members = [FAMILIES[tag][0](*p) for tag, p in PINNED_MEMBERS.items()]
+    pairs = []
+    for k, m in enumerate(members):
+        pairs.append((m, apply_equivalence(m, random_witness(6, rng))))
+        pairs.append((m, members[(k + 1) % len(members)]))
+    d = dita_d6(0.0)
+    pairs += [
+        (fourier_f6(0.0, 0.0), fourier_f6(0.0, 2 * np.pi / 3)),
+        (dita_corner(0.3), dita_d6(0.3)),
+        (d, d.T),
+    ]
+    text = "\n".join(
+        repr(are_equivalent(h1, h2, tol=tol, screen=screen))
+        for h1, h2 in pairs
+        for tol in (1e-10, 1e-8)
+        for screen in (True, False)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9f92e516e91fab755120d7d892dbf649e910ae3b200c539fb1a00e4b46c5997f"
+    )
+
+
+@pytest.mark.parametrize("tag", list(FAMILIES))
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_witness_within_ten_tol(tag, data, seed):
+    # the enumeration accepts dephased forms within 10 tol of each other, and
+    # its witness reproduces the second matrix within 10 tol too: members of
+    # every tag under random witnesses, each entry's phase moved by 3e-9 N
+    tol = 1e-8
+    try:
+        h1 = FAMILIES[tag][0](*data.draw(FAMILY_BOXES[tag]))
+    except SingularZ:
+        reject()
+    rng = np.random.default_rng(seed)
+    h2 = apply_equivalence(h1, random_witness(6, rng))
+    h2 = h2 * np.exp(3e-9j * rng.standard_normal((6, 6)))
+    # near a singular corner family_h's members stop being Hadamard
+    assume(is_hadamard(h1, tol) and is_hadamard(h2, tol))
+    res = are_equivalent(h1, h2, tol=tol)
+    assert res.decision == "equivalent"
+    assert verify_witness(h1, h2, res.witness) <= 10 * tol

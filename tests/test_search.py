@@ -39,7 +39,7 @@ from hadamard6.search import (
     _pi_cells,
 )
 
-from conftest import random_witness
+from conftest import FAMILY_BOXES, PINNED_MEMBERS, random_witness
 
 # symmetric matrix with entries in the cube roots of unity; lies outside
 # every family the classifier knows
@@ -274,25 +274,12 @@ def test_classify_edge_panel():
             assert np.max(np.abs(np.array(c.params) - params)) < 1e-9
 
 
-# one member per FAMILIES tag, for test_classify_outputs_pinned
-_PINNED_MEMBERS = {
-    "f6": (0.4, 0.9),
-    "f6t": (0.4804, 0.6852),
-    "d6": (0.2,),
-    "h": (0.37, 0.21),
-    "sym": (0.5,),
-    "selfadj": (-0.6,),
-    "corner": (0.3,),
-    "border": ("x2", 0.7),
-}
-
-
 def test_classify_outputs_pinned():
     # the bits of classify's answers, parameters and distances included: two
     # images of a member of each tag, the edge panel and SPECTRAL_SIX
     rng = np.random.default_rng(15)
     inputs = []
-    for tag, params in _PINNED_MEMBERS.items():
+    for tag, params in PINNED_MEMBERS.items():
         m = FAMILIES[tag][0](*params)
         inputs += [apply_equivalence(m, random_witness(6, rng)) for _ in range(2)]
     a, b = 0.7379612947827312, 0.4448087903966966
@@ -355,21 +342,6 @@ def test_classify_recovers_every_family():
             assert np.max(np.abs(np.array(got.params) - params)) < 1e-9
 
 
-_HALF = st.floats(-np.pi / 2, np.pi / 2)
-_TURN = st.floats(0.0, 2 * np.pi)
-# each FAMILIES tag's whole parameter box
-_BOXES = {
-    "f6": st.tuples(_TURN, _TURN),
-    "f6t": st.tuples(_TURN, _TURN),
-    "d6": st.tuples(st.floats(-np.pi / 4, np.pi / 4)),
-    "h": st.tuples(_HALF, _HALF),
-    "sym": st.tuples(_HALF),
-    "selfadj": st.tuples(_HALF),
-    "corner": st.tuples(st.floats(-np.pi / 4, np.pi / 4, exclude_min=True, exclude_max=True)),
-    "border": st.tuples(st.sampled_from(("x1", "x2")), _HALF),
-}
-
-
 def _gap(u, v):
     """The distance between the angles u and v mod pi."""
     return abs((u - v + np.pi / 2) % np.pi - np.pi / 2)
@@ -409,7 +381,7 @@ def test_classify_family_boxes(tag, data, seed):
     # within the confirmation tolerance of each other the first read off
     # confirms, so dita_d6(1e-8) may come back as D6 (0,) and
     # fourier_f6(1, 1e-8) as F6-slice (0, 2.14159266)
-    p = data.draw(_BOXES[tag])
+    p = data.draw(FAMILY_BOXES[tag])
     try:
         m = FAMILIES[tag][0](*p)
     except SingularZ:
