@@ -8,6 +8,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import io
 from .compose import ComposeSpec, compose12
 from .core import DEFAULT_TOL, FINGERPRINT_HADAMARD_TOL, FINGERPRINT_PRECISION, dephase
@@ -29,8 +31,9 @@ def _tol_from(args):
 
 
 def _emit(result, out_path):
-    """Write a verb's result: CSV text as it is, anything else as strict JSON."""
-    text = result if isinstance(result, str) else io.dumps(result)
+    """Write a verb's result: CSV text as it is, anything else as strict JSON
+    through io.to_obj."""
+    text = result if isinstance(result, str) else io.dumps(io.to_obj(result))
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -57,7 +60,7 @@ def _cmd_gen(args):
     # after the scaling, which can overflow to inf
     if not all(math.isfinite(v) for v in values if not isinstance(v, str)):
         raise ValueError("gen needs finite angles")
-    return io.matrix_to_obj(build(*values))
+    return build(*values)
 
 
 def _cmd_verify(args):
@@ -71,22 +74,14 @@ def _cmd_verify(args):
 
 
 def _cmd_dephase(args):
-    m = io.read_matrix(args.infile)
-    out, w = dephase(m)
-    if args.with_witness:
-        return {"matrix": io.matrix_to_obj(out), "witness": io.witness_to_obj(w)}
-    return io.matrix_to_obj(out)
+    out, w = dephase(io.read_matrix(args.infile))
+    return {"matrix": out, "witness": w} if args.with_witness else out
 
 
 def _cmd_equiv(args):
     h1 = io.read_matrix(args.a)
     h2 = io.read_matrix(args.b)
-    res = are_equivalent(h1, h2, tol=_tol_from(args), screen=not args.no_screen)
-    return {
-        "decision": res.decision,
-        "witness": io.witness_to_obj(res.witness) if res.witness else None,
-        "screened_by": res.screened_by,
-    }
+    return are_equivalent(h1, h2, tol=_tol_from(args), screen=not args.no_screen)
 
 
 def _cmd_fingerprint(args):
@@ -112,24 +107,8 @@ def _cmd_scan(args):
 
 
 def _search_record(result):
-    obj = {
-        "matrix": io.matrix_to_obj(result.matrix),
-        "iterations": result.iterations,
-        "final_defect": float(result.final_defect),
-        "converged": result.converged,
-        "classification": None,
-    }
-    if is_hadamard(result.matrix, FINGERPRINT_HADAMARD_TOL):  # as classify requires
-        obj["classification"] = _classification_obj(classify(result.matrix))
-    return obj
-
-
-def _classification_obj(c):
-    return {
-        "label": c.label,
-        "params": None if c.params is None else [float(p) for p in c.params],
-        "distance": float(c.distance),
-    }
+    ok = is_hadamard(result.matrix, FINGERPRINT_HADAMARD_TOL)  # as classify requires
+    return dict(vars(result), classification=classify(result.matrix) if ok else None)
 
 
 def _cmd_search(args):
@@ -145,14 +124,13 @@ def _cmd_search(args):
 
 
 def _cmd_classify(args):
-    m = io.read_matrix(args.infile)
-    return _classification_obj(classify(m, grid_n=args.grid))
+    return classify(io.read_matrix(args.infile), grid_n=args.grid)
 
 
 def _cmd_compose12(args):
     with open(args.spec) as fh:
         spec = ComposeSpec.from_dict(json.load(fh))
-    return io.matrix_to_obj(compose12(spec))
+    return compose12(spec)
 
 
 def _build_parser():
@@ -229,8 +207,9 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        _emit(args.func(args), args.out)
-    except (HadamardError, ValueError, OSError, KeyError) as exc:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            _emit(args.func(args), args.out)
+    except (HadamardError, ValueError, OSError, KeyError, FloatingPointError) as exc:
         print(type(exc).__name__, file=sys.stderr)
         return 1
     return 0

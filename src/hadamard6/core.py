@@ -230,7 +230,9 @@ def _quadruple_phases(m):
     flat = m.reshape(m.shape[:-2] + (n * n,))
     conj = flat.conj()
     # in place, left to right in the docstring's order: the rounding of the
-    # product, and so the fingerprint, depends on that order
+    # product, and so the fingerprint, depends on that order and on numpy's
+    # array loop. It is reproducible only within this code path: a product
+    # of numpy scalars in the same order can differ in the last bit
     prod = flat.take(ij, axis=-1)
     prod *= flat.take(kl, axis=-1)
     prod *= conj.take(il, axis=-1)

@@ -1,10 +1,15 @@
-"""JSON wire format for matrices and witnesses.
+"""JSON wire format for matrices, witnesses and the library's results.
 
 Matrix object: {"n": int, "re": [[...]], "im": [[...]]}. Readers also accept
 the phase form {"n": int, "phase_turns": [[...]]} with entries
 exp(2*pi*i*turns). Writers emit re/im.
+
+`to_obj` is the one encoder of results: a result's JSON keys are its
+dataclass field names, and a tuple of complex phases, such as a witness's
+row_phases, is {"re": [...], "im": [...]}.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -51,19 +56,25 @@ def _finite(entries):
     return a
 
 
+def to_obj(x):
+    """JSON-ready form of x: a dataclass as its fields, an array as a matrix
+    object, a tuple of complex phases as {"re": [...], "im": [...]}, lists,
+    tuples and dicts element by element, anything else as it is."""
+    if dataclasses.is_dataclass(x):
+        return {f.name: to_obj(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, np.ndarray):
+        return matrix_to_obj(x)
+    if isinstance(x, tuple) and x and all(isinstance(p, complex) for p in x):
+        return {"re": [p.real for p in x], "im": [p.imag for p in x]}
+    if isinstance(x, (list, tuple)):
+        return [to_obj(v) for v in x]
+    if isinstance(x, dict):
+        return {k: to_obj(v) for k, v in x.items()}
+    return x
+
+
 def witness_to_obj(w):
-    return {
-        "row_perm": list(w.row_perm),
-        "row_phases": {
-            "re": [p.real for p in w.row_phases],
-            "im": [p.imag for p in w.row_phases],
-        },
-        "col_perm": list(w.col_perm),
-        "col_phases": {
-            "re": [p.real for p in w.col_phases],
-            "im": [p.imag for p in w.col_phases],
-        },
-    }
+    return to_obj(w)
 
 
 def witness_from_obj(obj):

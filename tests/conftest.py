@@ -46,7 +46,7 @@ def fingerprint_oracle(m, precision):
     vectorized implementation."""
     m = np.asarray(m, dtype=complex)
     n = m.shape[0]
-    vals = []
+    factors = []
     for i in range(n):
         for k in range(n):
             if i == k:
@@ -55,12 +55,17 @@ def fingerprint_oracle(m, precision):
                 for l in range(n):
                     if j == l:
                         continue
-                    prod = m[i, j] * m[k, l] * np.conj(m[i, l]) * np.conj(m[k, j])
-                    theta = np.angle(prod) % (2 * np.pi)
-                    r = round(theta, precision)
-                    if r >= round(2 * np.pi, precision):
-                        r = 0.0
-                    vals.append(r)
+                    factors.append((m[i, j], m[k, l], np.conj(m[i, l]), np.conj(m[k, j])))
+    # multiplied as contiguous arrays, left to right: numpy's array loop can
+    # differ in the last bit from a product of scalars in the same order
+    ij, kl, il, kj = np.array(factors, dtype=complex).reshape(-1, 4).T.copy()
+    vals = []
+    for prod in ij * kl * il * kj:
+        theta = np.angle(prod) % (2 * np.pi)
+        r = round(theta, precision)
+        if r >= round(2 * np.pi, precision):
+            r = 0.0
+        vals.append(r)
     return tuple(sorted(vals))
 
 

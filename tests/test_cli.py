@@ -21,8 +21,10 @@ from hadamard6 import (
 )
 from hadamard6 import io
 from hadamard6.cli import main
+from hadamard6.families import FAMILIES
+from hadamard6.search import SearchConfig, project_search
 
-from conftest import random_witness
+from conftest import PINNED_MEMBERS, random_witness
 
 
 def run(capsys, *argv):
@@ -169,6 +171,60 @@ def test_equiv_witness_choice_pinned(tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_cli_outputs_pinned(tmp_path, capsys, monkeypatch):
+    # the bytes of every verb's stdout and stderr and its exit code, over a
+    # fixed panel whose inputs come from fixed numpy seeds; file names are
+    # relative, so the argv is the same in every temporary directory
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(18)
+    members = {tag: FAMILIES[tag][0](*PINNED_MEMBERS[tag]) for tag in ("h", "f6", "f6t", "d6")}
+    inputs = {
+        "h.json": members["h"],
+        "h_image.json": apply_equivalence(members["h"], random_witness(6, rng)),
+        "f6_image.json": apply_equivalence(members["f6"], random_witness(6, rng)),
+        "f6t_image.json": apply_equivalence(members["f6t"], random_witness(6, rng)),
+        "d6_image.json": apply_equivalence(members["d6"], random_witness(6, rng)),
+        "unknown.json": project_search(SearchConfig(rng_seed=42)).matrix,
+    }
+    for name, m in inputs.items():
+        io.write_matrix(name, m)
+    spec = {
+        "h1": {"family": "f6", "params": [0.1, 0.2]},
+        "h2": {"family": "h", "params": [0.3, 0.2]},
+        "deltas": [0.1, 0.2, 0.3, 0.4, 0.5],
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    panel = [
+        ["gen", "--family", tag] + [f"--{n}={p}" for n, p in zip(FAMILIES[tag][1], params)]
+        for tag, params in PINNED_MEMBERS.items()
+    ]
+    panel += [
+        ["verify", "--in", "h_image.json"],
+        ["dephase", "--in", "h_image.json"],
+        ["dephase", "--in", "h_image.json", "--with-witness"],
+        ["equiv", "--a", "h.json", "--b", "h_image.json"],
+        ["equiv", "--a", "f6_image.json", "--b", "d6_image.json"],
+        ["equiv", "--a", "f6_image.json", "--b", "d6_image.json", "--no-screen"],
+        ["fingerprint", "--in", "h_image.json"],
+        ["scan", "--grid", "4"],
+        ["search", "--seed", "42"],
+        ["search", "--runs", "3"],
+        ["search", "--max-iter", "1"],
+        ["classify", "--in", "f6_image.json"],
+        ["classify", "--in", "f6t_image.json"],
+        ["classify", "--in", "h_image.json"],
+        ["classify", "--in", "d6_image.json"],
+        ["classify", "--in", "unknown.json"],
+        ["compose12", "--spec", "spec.json"],
+    ]
+    digest = hashlib.sha256()
+    for argv in panel:
+        digest.update(repr((argv, *run(capsys, *argv))).encode())
+    assert digest.hexdigest() == (
+        "b67803117d5eccf653d8aa6b9dcd471b6409d894cd3e42cd411aa87e58416470"
+    )
+
+
 def test_scan_csv(tmp_path, capsys):
     path = tmp_path / "scan.csv"
     code, _, _ = run(capsys, "scan", "--family", "h", "--grid", "33", "--out", str(path))
@@ -280,6 +336,31 @@ def test_env_tolerance(tmp_path, capsys, monkeypatch):
     assert run(capsys, "verify", "--in", str(path), "--tol", "nan") == (1, "", "ValueError\n")
     monkeypatch.setenv("HADAMARD_TOL", "nan")
     assert run(capsys, "verify", "--in", str(path)) == (1, "", "ValueError\n")
+
+
+def _f6_with_entry(path, value):
+    # fourier_f6(0.1, 0.2) with entry [2, 3] set to value
+    m = fourier_f6(0.1, 0.2)
+    m[2, 3] = value
+    io.write_matrix(str(path), m)
+    return str(path)
+
+
+def test_overflow_is_named_error(tmp_path, capsys):
+    # the unitarity product overflows: numpy warned on stderr, then the verb
+    # failed with ValueError; now the fault is the error
+    big = _f6_with_entry(tmp_path / "big.json", 1e200)
+    assert run(capsys, "verify", "--in", big) == (1, "", "FloatingPointError\n")
+
+
+def test_division_by_zero_entry_is_named_error(tmp_path, capsys):
+    # at --tol 10 the zero entry passes is_hadamard, and the anchored forms
+    # divide by it: numpy warned on stderr of an exit 0
+    zero = _f6_with_entry(tmp_path / "zero.json", 0.0)
+    f = str(tmp_path / "f.json")
+    io.write_matrix(f, fourier_f6(0.1, 0.2))
+    argv = ("equiv", "--a", zero, "--b", f, "--tol", "10")
+    assert run(capsys, *argv) == (1, "", "FloatingPointError\n")
 
 
 def test_module_error_exit_code(capsys):

@@ -291,6 +291,9 @@ unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
     precision=st.sampled_from((6, 8)),
 )
 @example(family="h", u=0.0, v=0.0, seed=0, precision=8)  # raw phases include -0.0
+# family_h(0, 0.005859375): 8 of 900 products of scalars differed in the last
+# bit from the array product and rounded the other way at precision 8
+@example(family="h", u=0.0, v=0.00390625, seed=0, precision=8)
 @settings(max_examples=30, deadline=None)
 def test_fingerprint_oracle_property(family, u, v, seed, precision):
     member = _MEMBERS[family](u, v)

@@ -27,11 +27,12 @@ from hadamard6 import (
     symmetric_m,
     unitarity_defect,
 )
-from hadamard6.core import FINGERPRINT_HADAMARD_TOL, fingerprint_distances
+from hadamard6.core import FINGERPRINT_HADAMARD_TOL, _anchored_forms, fingerprint_distances
 from hadamard6.families import FAMILIES, _FOURIER_SHIFT, _WRAP_NOISE, _mod_pi
 from hadamard6.search import (
     CLASSIFY_PRECISION,
     _PANEL,
+    _PI_GATE,
     _STAGES,
     _fourier_canonical,
     _h_read_off,
@@ -250,6 +251,37 @@ def test_pi_cells():
     )
     image = apply_equivalence(h, random_witness(6, np.random.default_rng(4)))
     assert len(_pi_cells(image)[0]) == len(rows)
+
+
+@pytest.mark.parametrize("tag", list(FAMILIES))
+def test_pi_gate_passes_own_block(tag):
+    # the premise of unknown's proof: an input that are_equivalent accepts as
+    # an image of a member, every entry within 10 FINGERPRINT_HADAMARD_TOL,
+    # has the image of the member's own 2x2 block among its pi-cells. The
+    # block is rows and columns (0, 3) for the Fourier tags, (0, 1) else;
+    # entry (r, c) moves to (rho^-1(r), kappa^-1(c)) under a witness with
+    # row permutation rho and column permutation kappa
+    r0, r1 = c0, c1 = (0, 3) if tag in ("f6", "f6t") else (0, 1)
+    worst = []
+
+    @given(p=FAMILY_BOXES[tag], seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def check(p, seed):
+        try:
+            member = FAMILIES[tag][0](*p)
+        except SingularZ:
+            reject()
+        rng = np.random.default_rng(seed)
+        w = random_witness(6, rng)
+        noise = 10 * FINGERPRINT_HADAMARD_TOL * rng.random((6, 6))
+        image = apply_equivalence(member, w) + noise * np.exp(2j * np.pi * rng.random((6, 6)))
+        row, col = np.argsort(w.row_perm), np.argsort(w.col_perm)
+        cell = _anchored_forms(image)[row[r0], col[c0], row[r1], col[c1]]
+        worst.append(abs(cell + 1.0))
+        assert worst[-1] < _PI_GATE
+
+    check()
+    print(f"{tag}: own block within {max(worst):.2e} of -1 over {len(worst)} images")
 
 
 def test_classify_edge_panel():
