@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, as_matrix, is_hadamard
-from .errors import NotHadamard, UnknownFamily
+from .errors import DimensionMismatch, NotHadamard, UnknownFamily
 from .families import FAMILIES
 
 # the two-parameter families (border's second parameter is its axis string)
@@ -59,12 +59,18 @@ def block_compose(h1, h2, deltas):
     """[[H1, D H2], [H1, -D H2]] with D = diag(1, e^{i d1}, ..., e^{i d5})."""
     h1 = as_matrix(h1)
     h2 = as_matrix(h2)
+    n = h1.shape[0]
+    if h2.shape != h1.shape:
+        raise DimensionMismatch(f"orders differ: {n} vs {h2.shape[0]}")
     deltas = np.asarray(deltas, dtype=float)
-    if deltas.shape != (h1.shape[0] - 1,):
-        raise ValueError(f"need {h1.shape[0] - 1} deltas, got shape {deltas.shape}")
-    d = np.exp(1j * np.concatenate([[0.0], deltas]))
-    right = d[:, None] * h2
-    return np.block([[h1, right], [h1, -right]])
+    if deltas.shape != (n - 1,):
+        raise ValueError(f"need {n - 1} deltas, got shape {deltas.shape}")
+    out = np.empty((2 * n, 2 * n), dtype=complex)
+    out[:n, :n] = out[n:, :n] = h1
+    right = out[:n, n:]
+    np.multiply(np.exp(1j * np.concatenate([[0.0], deltas]))[:, None], h2, out=right)
+    np.negative(right, out=out[n:, n:])
+    return out
 
 
 def compose12(spec):

@@ -208,25 +208,36 @@ def _quadruple_indices(n):
     """Flat indices into m.ravel() of the four factors h_ij, h_kl, h_il, h_kj,
     shape (4, P, P) over the P = n(n-1) ordered pairs i != k (rows) and
     j != l (columns), row-major; empty for n = 1. Read-only, as it is cached."""
-    i, k = np.nonzero(~np.eye(n, dtype=bool))
+    return _factor_indices(n, *np.nonzero(~np.eye(n, dtype=bool)))
+
+
+@lru_cache(maxsize=None)
+def _quarter_indices(n):
+    """The same four factors over the pairs i < k and j < l only, shape
+    (4, P/2, P/2): the screen's quarter of the quadruples. Read-only."""
+    return _factor_indices(n, *np.triu_indices(n, 1))
+
+
+def _factor_indices(n, i, k):
     rows_i, rows_k = (n * i)[:, None], (n * k)[:, None]
     idx = np.stack([rows_i + i, rows_k + k, rows_i + k, rows_k + i])
     idx.flags.writeable = False
     return idx
 
 
-def _quadruple_phases(m):
-    """Unrounded phases in [0, 2pi) of h_ij h_kl conj(h_il) conj(h_kj) over
-    ordered i != k, j != l, unsorted: flat for one matrix (n, n), one row
-    per matrix for a stack (K, n, n). Every matrix must be Hadamard within
-    FINGERPRINT_HADAMARD_TOL."""
-    m = _as_square(m, (2, 3))
+def _require_fingerprint_input(m):
     if not _hadamard_within(m, FINGERPRINT_HADAMARD_TOL):
         raise NotHadamard(
             f"fingerprint needs a Hadamard matrix within {FINGERPRINT_HADAMARD_TOL}"
         )
+
+
+def _quadruple_products(m, idx):
+    """h_ij h_kl conj(h_il) conj(h_kj) for each matrix of m (n, n) or
+    (K, n, n), over the index table idx of _quadruple_indices or
+    _quarter_indices, flattened to one row per matrix."""
     n = m.shape[-1]
-    ij, kl, il, kj = _quadruple_indices(n)
+    ij, kl, il, kj = idx
     flat = m.reshape(m.shape[:-2] + (n * n,))
     conj = flat.conj()
     # in place, left to right in the docstring's order: the rounding of the
@@ -237,10 +248,30 @@ def _quadruple_phases(m):
     prod *= flat.take(kl, axis=-1)
     prod *= conj.take(il, axis=-1)
     prod *= conj.take(kj, axis=-1)
-    theta = np.angle(prod).reshape(m.shape[:-2] + (ij.size,))
+    return prod.reshape(m.shape[:-2] + (ij.size,))
+
+
+def _quadruple_phases(m):
+    """Unrounded phases in [0, 2pi) of h_ij h_kl conj(h_il) conj(h_kj) over
+    ordered i != k, j != l, unsorted: flat for one matrix (n, n), one row
+    per matrix for a stack (K, n, n). Every matrix must be Hadamard within
+    FINGERPRINT_HADAMARD_TOL."""
+    m = _as_square(m, (2, 3))
+    _require_fingerprint_input(m)
+    theta = np.angle(_quadruple_products(m, _quadruple_indices(m.shape[-1])))
     # np.angle is in [-pi, pi]; this is bitwise `theta % (2 * pi)`, and
     # adding 0.0 turns -0.0 into +0.0 as the remainder does
     return theta + (theta < 0) * (2 * np.pi)
+
+
+def _quarter_directions(m):
+    """The unit directions q/|q| of the quadruple products q over i < k,
+    j < l of one coerced matrix, as two flat arrays (cosines, |sines|);
+    unchecked, so m must already be Hadamard within
+    FINGERPRINT_HADAMARD_TOL, which keeps |q| near 1."""
+    q = _quadruple_products(m, _quarter_indices(m.shape[-1]))
+    r = np.abs(q)
+    return q.real / r, np.abs(q.imag) / r
 
 
 def _rounded_sorted(theta, precision):

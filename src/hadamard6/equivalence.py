@@ -21,7 +21,8 @@ from .core import (
     _anchored_forms,
     _check_precision,
     _check_tol,
-    _quadruple_phases,
+    _quarter_directions,
+    _require_fingerprint_input,
     apply_equivalence,
     as_matrix,
     dephase,
@@ -44,30 +45,50 @@ class EquivalenceResult:
 def fingerprint_match(h1, h2, precision=FINGERPRINT_PRECISION, tol=DEFAULT_TOL):
     """Sorted cosines and sorted sines of the quadruple phases agree within
     10**-precision + 40 tol (1 + 40 tol); False certifies that no witness at
-    tolerance tol exists.
+    tolerance tol exists. Both matrices must be Hadamard within
+    FINGERPRINT_HADAMARD_TOL.
 
-    Quadruple phases are invariant under dephasing and permutations, and
-    cos, sin and sorting are 1-Lipschitz. The enumeration accepts a witness
-    when the two dephased forms agree entrywise within e = 10 tol, so each
-    quadruple product, a product of four near-unimodular entries, moves by
-    at most r = 4e (1 + O(1e-7)) relative to its modulus for inputs Hadamard
-    within FINGERPRINT_HADAMARD_TOL. Its unit direction, whose coordinates
-    are the cosine and sine, then moves by at most the chord
+    The quadruple products are Haagerup's invariant set (U. Haagerup,
+    "Orthogonal maximal abelian *-subalgebras of the n x n matrices and
+    cyclic n-roots", 1996). Over ordered i != k, j != l they are invariant
+    under dephasing and permutations, and cos, sin and sorting are
+    1-Lipschitz. The enumeration accepts a witness when the two dephased
+    forms agree entrywise within e = 10 tol, so each quadruple product, a
+    product of four near-unimodular entries, moves by at most
+    r = 4e (1 + O(1e-7)) relative to its modulus for inputs Hadamard within
+    FINGERPRINT_HADAMARD_TOL. Its unit direction, whose coordinates are the
+    cosine and sine, then moves by at most the chord
     sqrt(2 - 2 sqrt(1 - r**2)) <= r (1 + r), or by 2 <= r (1 + r) once
     r >= 1. 10**-precision covers float noise and the O(1e-7) factor, so
     every pair the enumeration would accept passes.
+
+    Only the quarter i < k, j < l is computed, as unit directions
+    u = q/|q|. Swapping i with k maps q to conj(q), swapping j with l
+    likewise, and swapping both fixes q, so the ordered multiset is
+    {q, q, conj(q), conj(q)} over the quarter. Its sorted cosines are
+    sorted Re(u) with each value four times, and its sorted sines are
+    sorted concat(Im(u), -Im(u)) with each value twice, a list symmetric
+    about 0 whose gaps are those of sorted |Im(u)|. The largest gaps are
+    therefore those of sorted Re(u) and sorted |Im(u)|, the numbers the
+    ordered multiset gives, in exact arithmetic.
     """
     _check_tol(tol)
     _check_precision(precision)
     h1, h2 = as_matrix(h1), as_matrix(h2)
     if h1.shape != h2.shape:
         raise DimensionMismatch(f"orders differ: {h1.shape[0]} vs {h2.shape[0]}")
-    p1, p2 = _quadruple_phases(h1), _quadruple_phases(h2)
+    _require_fingerprint_input(h1)
+    _require_fingerprint_input(h2)
+    return _directions_match(h1, h2, precision, tol)
+
+
+def _directions_match(h1, h2, precision, tol):
+    """fingerprint_match on coerced, checked matrices of one order."""
     r = 40.0 * tol
     margin = 10.0**-precision + r * (1.0 + r)
     return all(
-        np.abs(np.sort(f(p1)) - np.sort(f(p2))).max(initial=0.0) <= margin
-        for f in (np.cos, np.sin)
+        np.abs(np.sort(a) - np.sort(b)).max(initial=0.0) <= margin
+        for a, b in zip(_quarter_directions(h1), _quarter_directions(h2))
     )
 
 
@@ -124,8 +145,12 @@ def are_equivalent(h1, h2, tol=DEFAULT_TOL, screen=True):
         if not is_hadamard(h, tol):
             raise NotHadamard(f"{name} matrix is not Hadamard within {tol}")
 
-    screened = screen and all(is_hadamard(h, FINGERPRINT_HADAMARD_TOL) for h in (h1, h2))
-    if screened and not fingerprint_match(h1, h2, FINGERPRINT_PRECISION, tol):
+    # inputs Hadamard within tol <= FINGERPRINT_HADAMARD_TOL pass the screen's gate
+    screened = screen and (
+        tol <= FINGERPRINT_HADAMARD_TOL
+        or all(is_hadamard(h, FINGERPRINT_HADAMARD_TOL) for h in (h1, h2))
+    )
+    if screened and not _directions_match(h1, h2, FINGERPRINT_PRECISION, tol):
         return EquivalenceResult(
             "inequivalent",
             screened_by=f"fingerprint mismatch at precision {FINGERPRINT_PRECISION}",

@@ -3,6 +3,7 @@ import pytest
 
 from hadamard6 import (
     ComposeSpec,
+    DimensionMismatch,
     NotHadamard,
     UnknownFamily,
     block_compose,
@@ -63,6 +64,13 @@ def test_block_compose_checks_delta_shape():
     f = fourier_f6(0.0, 0.0)
     with pytest.raises(ValueError):
         block_compose(f, f, np.zeros(4))
+
+
+def test_block_compose_checks_orders():
+    # an order-1 second block broadcast into the right half without complaint
+    f = fourier_f6(0.0, 0.0)
+    with pytest.raises(DimensionMismatch):
+        block_compose(f, np.ones((1, 1), dtype=complex), np.zeros(5))
 
 
 def test_spec_dict_roundtrip():

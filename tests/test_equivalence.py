@@ -6,12 +6,14 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from hadamard6 import (
+    ComposeSpec,
     DimensionMismatch,
     NotHadamard,
     OrderUnsupported,
     apply_equivalence,
     are_equivalent,
     block_compose,
+    compose12,
     dita_corner,
     dita_d6,
     family_h,
@@ -21,6 +23,7 @@ from hadamard6 import (
     transpose,
     verify_witness,
 )
+from hadamard6.core import FINGERPRINT_PRECISION, _quadruple_phases
 from hadamard6.errors import SingularZ
 from hadamard6.families import FAMILIES
 
@@ -205,3 +208,90 @@ def test_witness_within_ten_tol(tag, data, seed):
     res = are_equivalent(h1, h2, tol=tol)
     assert res.decision == "equivalent"
     assert verify_witness(h1, h2, res.witness) <= 10 * tol
+
+
+def _ordered_screen(h1, h2, tol):
+    # the screen over the full ordered multiset, as a reference: sorted
+    # cosines and sines of every ordered quadruple phase, the same margin
+    p1, p2 = _quadruple_phases(h1), _quadruple_phases(h2)
+    r = 40.0 * tol
+    margin = 10.0**-FINGERPRINT_PRECISION + r * (1.0 + r)
+    return all(
+        np.abs(np.sort(f(p1)) - np.sort(f(p2))).max(initial=0.0) <= margin
+        for f in (np.cos, np.sin)
+    )
+
+
+def _random_spec(rng):
+    fa, fb = (("f6", "f6t", "h")[int(i)] for i in rng.integers(3, size=2))
+    return ComposeSpec(fa, tuple(rng.uniform(-1.4, 1.4, 2)), fb, tuple(rng.uniform(-1.4, 1.4, 2)),
+                       tuple(rng.uniform(0, 2 * np.pi, 5)))
+
+
+def _outcome(screen, h1, h2, tol):
+    try:
+        return screen(h1, h2, tol=tol)
+    except NotHadamard:
+        return "NotHadamard"
+
+
+def test_screen_matches_ordered_oracle():
+    # the quarter screen against the full ordered multiset: members of every
+    # tag and their random-witness images, cross-family pairs, images whose
+    # entry phases are jittered across the margin, and order-12 pairs
+    rng = np.random.default_rng(19)
+    members = []
+    for tag, params in PINNED_MEMBERS.items():
+        for shift in (0.0, 0.13, -0.17):
+            p = tuple(x + shift if isinstance(x, float) else x for x in params)
+            members.append(FAMILIES[tag][0](*p))
+    pairs = []
+    for k, m in enumerate(members):
+        image = apply_equivalence(m, random_witness(6, rng))
+        pairs += [(m, image), (m, members[(k + 3) % len(members)])]
+        for scale in (1e-10, 1e-9, 3e-9, 1e-8, 1e-7, 1e-6):
+            pairs.append((m, image * np.exp(1j * scale * rng.standard_normal((6, 6)))))
+    for _ in range(12):
+        a, b = compose12(_random_spec(rng)), compose12(_random_spec(rng))
+        image = apply_equivalence(a, random_witness(12, rng))
+        pairs += [(a, b), (a, image), (a, image * np.exp(1e-9j * rng.standard_normal((12, 12))))]
+    seen = set()
+    for h1, h2 in pairs:
+        for tol in (1e-10, 1e-9, 1e-8):
+            want = _outcome(_ordered_screen, h1, h2, tol)
+            assert _outcome(fingerprint_match, h1, h2, tol) == want
+            seen.add((tol, want))
+    # the panel reaches both answers at every tol, and the Hadamard gate
+    assert all((tol, ok) in seen for tol in (1e-10, 1e-9, 1e-8) for ok in (True, False))
+    assert any(want == "NotHadamard" for _, want in seen)
+    # conjugation maps the quarter's sines to their negatives
+    for tag, params in PINNED_MEMBERS.items():
+        h = FAMILIES[tag][0](*params)
+        assert fingerprint_match(h, h.conj())
+    f = fourier_f6(0.0, 0.0)
+    res = are_equivalent(f, f.conj())
+    assert res.decision == "equivalent" and res.screened_by is None
+
+
+def test_order12_outputs_pinned():
+    # the bits of compose12's matrices and of order-12 are_equivalent
+    # answers: distinct pairs, images under random witnesses, images with
+    # jittered phases, at two tolerances with the screen on and off
+    rng = np.random.default_rng(12)
+    digest = hashlib.sha256()
+    for _ in range(16):
+        a, b = compose12(_random_spec(rng)), compose12(_random_spec(rng))
+        digest.update(a.tobytes() + b.tobytes())
+        image = apply_equivalence(a, random_witness(12, rng))
+        jittered = image * np.exp(1j * 10 ** rng.uniform(-10, -8) * rng.standard_normal((12, 12)))
+        for h2 in (b, image, jittered):
+            for tol in (1e-10, 1e-8):
+                for screen in (True, False):
+                    try:
+                        out = repr(are_equivalent(a, h2, tol=tol, screen=screen))
+                    except NotHadamard:  # a jittered image at tol 1e-10
+                        out = "NotHadamard"
+                    digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "5ab1eb3661ed2e3509973f3b3924a6408238a8007d898b0787ebab729ceb9971"
+    )
