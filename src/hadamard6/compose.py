@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, as_matrix, is_hadamard
-from .errors import DimensionMismatch, NotHadamard, UnknownFamily
+from .core import DEFAULT_TOL, _as_pair, is_hadamard
+from .errors import NotHadamard, UnknownFamily
 from .families import FAMILIES
 
 # the two-parameter families (border's second parameter is its axis string)
@@ -57,14 +57,13 @@ def _build(family, params):
 
 def block_compose(h1, h2, deltas):
     """[[H1, D H2], [H1, -D H2]] with D = diag(1, e^{i d1}, ..., e^{i d5})."""
-    h1 = as_matrix(h1)
-    h2 = as_matrix(h2)
+    h1, h2 = _as_pair(h1, h2)
     n = h1.shape[0]
-    if h2.shape != h1.shape:
-        raise DimensionMismatch(f"orders differ: {n} vs {h2.shape[0]}")
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape != (n - 1,):
         raise ValueError(f"need {n - 1} deltas, got shape {deltas.shape}")
+    if not np.isfinite(deltas).all():
+        raise ValueError("deltas must be finite")
     out = np.empty((2 * n, 2 * n), dtype=complex)
     out[:n, :n] = out[n:, :n] = h1
     right = out[:n, n:]

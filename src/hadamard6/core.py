@@ -33,11 +33,13 @@ def as_matrix(m):
     return _as_square(m, (2,))
 
 
-@lru_cache(maxsize=None)
-def _identity(n):
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
+def _as_pair(h1, h2):
+    """Coerce two matrices with as_matrix; DimensionMismatch unless their
+    orders agree."""
+    h1, h2 = as_matrix(h1), as_matrix(h2)
+    if h1.shape != h2.shape:
+        raise DimensionMismatch(f"orders differ: {h1.shape[0]} vs {h2.shape[0]}")
+    return h1, h2
 
 
 # The two defects of a coerced matrix (n, n) or stack (K, n, n), reduced over
@@ -48,7 +50,7 @@ def _modulus_defects(m):
 
 def _unitarity_defects(m):
     n = m.shape[-1]
-    return np.abs(np.swapaxes(m.conj(), -1, -2) @ m / n - _identity(n)).max(axis=(-2, -1))
+    return np.abs(np.swapaxes(m.conj(), -1, -2) @ m / n - np.eye(n)).max(axis=(-2, -1))
 
 
 def _hadamard_within(m, tol):

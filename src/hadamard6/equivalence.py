@@ -19,16 +19,16 @@ from .core import (
     FINGERPRINT_PRECISION,
     EquivalenceWitness,
     _anchored_forms,
+    _as_pair,
     _check_precision,
     _check_tol,
     _quarter_directions,
     _require_fingerprint_input,
     apply_equivalence,
-    as_matrix,
     dephase,
     is_hadamard,
 )
-from .errors import DimensionMismatch, NotHadamard, OrderUnsupported
+from .errors import NotHadamard, OrderUnsupported
 
 # the 720 permutations in lexicographic order, as six blocks of 120:
 # _PERMS6[a] holds those that map 0 to a
@@ -74,9 +74,7 @@ def fingerprint_match(h1, h2, precision=FINGERPRINT_PRECISION, tol=DEFAULT_TOL):
     """
     _check_tol(tol)
     _check_precision(precision)
-    h1, h2 = as_matrix(h1), as_matrix(h2)
-    if h1.shape != h2.shape:
-        raise DimensionMismatch(f"orders differ: {h1.shape[0]} vs {h2.shape[0]}")
+    h1, h2 = _as_pair(h1, h2)
     _require_fingerprint_input(h1)
     _require_fingerprint_input(h2)
     return _directions_match(h1, h2, precision, tol)
@@ -135,9 +133,7 @@ def are_equivalent(h1, h2, tol=DEFAULT_TOL, screen=True):
     raw enumeration), then exhaustive search returning a verifying witness.
     Order 12: screening only; matching fingerprints are inconclusive.
     """
-    h1, h2 = as_matrix(h1), as_matrix(h2)
-    if h1.shape != h2.shape:
-        raise DimensionMismatch(f"orders differ: {h1.shape[0]} vs {h2.shape[0]}")
+    h1, h2 = _as_pair(h1, h2)
     n = h1.shape[0]
     if n not in (6, 12):
         raise OrderUnsupported(f"equivalence decisions support n in (6, 12), got {n}")
@@ -167,6 +163,8 @@ def are_equivalent(h1, h2, tol=DEFAULT_TOL, screen=True):
 
 
 def verify_witness(h1, h2, w, tol=DEFAULT_TOL):
-    """Max entrywise error of the witness reproduction of h2 from h1; tol is
-    accepted and unused, and the caller compares the error with its own."""
-    return float(np.abs(apply_equivalence(h1, w) - as_matrix(h2)).max())
+    """Max entrywise error of the witness reproduction of h2 from h1, two
+    matrices of one order; tol is accepted and unused, and the caller
+    compares the error with its own."""
+    h1, h2 = _as_pair(h1, h2)
+    return float(np.abs(apply_equivalence(h1, w) - h2).max())

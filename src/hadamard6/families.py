@@ -142,6 +142,24 @@ def f_factor(x1, x2):
     )
 
 
+def _h_layout(z1, z2, a, b):
+    """The family's 6x6 pattern: z1 in row 1, z2 in column 1, and the 2x2
+    blocks a and b placed as [[a, b], [b, a]] in rows and columns 2-5."""
+    (a11, a12), (a21, a22) = a
+    (b11, b12), (b21, b22) = b
+    return np.array(
+        [
+            [1, 1, 1, 1, 1, 1],
+            [1, -1, z1, -z1, z1, -z1],
+            [1, z2, a11, a12, b11, b12],
+            [1, -z2, a21, a22, b21, b22],
+            [1, z2, b11, b12, a11, a12],
+            [1, -z2, b21, b22, a21, a22],
+        ],
+        dtype=complex,
+    )
+
+
 def family_h(x1, x2):
     """The two-parameter family in its summary form, dephased."""
     z1, z2 = np.exp(1j * x1), np.exp(1j * x2)
@@ -150,34 +168,15 @@ def family_h(x1, x2):
     f3 = f_factor(-x1, -x2)
     f4 = f_factor(-x1, x2)
     c = np.conj
-    return np.array(
-        [
-            [1, 1, 1, 1, 1, 1],
-            [1, -1, z1, -z1, z1, -z1],
-            [1, z2, -f1, -z2 * f2, -c(f3), -z2 * c(f4)],
-            [1, -z2, -z1 * c(f2), z1 * z2 * c(f1), -z1 * f4, z1 * z2 * f3],
-            [1, z2, -c(f3), -z2 * c(f4), -f1, -z2 * f2],
-            [1, -z2, -z1 * f4, z1 * z2 * f3, -z1 * c(f2), z1 * z2 * c(f1)],
-        ],
-        dtype=complex,
-    )
+    a = ((-f1, -z2 * f2), (-z1 * c(f2), z1 * z2 * c(f1)))
+    b = ((-c(f3), -z2 * c(f4)), (-z1 * f4, z1 * z2 * f3))
+    return _h_layout(z1, z2, a, b)
 
 
 def family_h_with_signs(x1, x2, signs=REPRESENTATIVE_SIGNS):
     """Assemble the family from the (a, b) blocks of a given sign pattern."""
     a, b = solve_ab(x1, x2, signs)
-    z1, z2 = np.exp(1j * x1), np.exp(1j * x2)
-    return np.array(
-        [
-            [1, 1, 1, 1, 1, 1],
-            [1, -1, z1, -z1, z1, -z1],
-            [1, z2, a[0, 0], a[0, 1], b[0, 0], b[0, 1]],
-            [1, -z2, a[1, 0], a[1, 1], b[1, 0], b[1, 1]],
-            [1, z2, b[0, 0], b[0, 1], a[0, 0], a[0, 1]],
-            [1, -z2, b[1, 0], b[1, 1], a[1, 0], a[1, 1]],
-        ],
-        dtype=complex,
-    )
+    return _h_layout(np.exp(1j * x1), np.exp(1j * x2), a, b)
 
 
 def reduce_params(x1, x2):

@@ -14,7 +14,7 @@ from .core import FINGERPRINT_HADAMARD_TOL, _anchored_forms, _check_tol, as_matr
 from .core import fingerprint_distances, is_hadamard, modulus_defect, unitarity_defect
 from .equivalence import are_equivalent
 from .errors import NotHadamard, OrderUnsupported, SingularZ
-from .families import _fourier_canonical, dita_d6, family_h, fourier_f6
+from .families import FAMILIES, _fourier_canonical, dita_d6, family_h, fourier_f6
 
 CLASSIFY_PRECISION = 6
 
@@ -66,7 +66,7 @@ def project_search(cfg=None):
     n = m.shape[0]
     root_n = math.sqrt(n)
     d = _defect(m)
-    best_d, best_m, best_it = d, m.copy(), 0
+    best_d, best_m = d, m
     if d <= cfg.tol:
         return SearchResult(m, 0, d, True)
     for it in range(1, cfg.max_iter + 1):
@@ -76,7 +76,7 @@ def project_search(cfg=None):
         m = root_n * (u @ vt)
         d = _defect(m)
         if d < best_d:
-            best_d, best_m, best_it = d, m.copy(), it
+            best_d, best_m = d, m
         if d <= cfg.tol:
             return SearchResult(m, it, d, True)
     return SearchResult(best_m, cfg.max_iter, best_d, False)
@@ -159,16 +159,17 @@ def _h_read_off(rows, cols, interior):
     return _unique(np.abs(x))
 
 
-# One stage per label, tried in this order: the label, the read-off (rows,
-# columns and interiors of the pi-cells -> points), and members(p), the
-# members the input must be equivalent to for the label with params p. A
-# member two stages share takes the earlier stage's label.
+# The stages, tried in this order: the label, the read-off (rows, columns
+# and interiors of the pi-cells -> points), and build(*p), the member the
+# input must be equivalent to for the label with params p. A member two
+# stages share takes the earlier stage's label.
 _STAGES = (
+    ("D6", _d6_read_off, dita_d6),
     # dita_d6(-c) is equivalent to the transpose of dita_d6(c)
-    ("D6", _d6_read_off, lambda p: [dita_d6(s * p[0]) for s in (1, -1)]),
-    ("F6-slice", lambda r, c, i: _fourier_read_off(r), lambda p: [fourier_f6(*p)]),
-    ("F6T-slice", lambda r, c, i: _fourier_read_off(c), lambda p: [fourier_f6(*p).T]),
-    ("H-family", _h_read_off, lambda p: [family_h(*p)]),
+    ("D6", _d6_read_off, lambda c: dita_d6(-c)),
+    ("F6-slice", lambda r, c, i: _fourier_read_off(r), fourier_f6),
+    ("F6T-slice", lambda r, c, i: _fourier_read_off(c), FAMILIES["f6t"][0]),
+    ("H-family", _h_read_off, family_h),
 )
 
 # `unknown` reports the least fingerprint distance to these members: each
@@ -224,19 +225,18 @@ def classify(h, grid_n=24):
         raise NotHadamard(f"classify needs a Hadamard matrix within {tol}")
     fq = fingerprint(h, CLASSIFY_PRECISION)
     cells = _pi_cells(h)
-    for label, read_off, members in _STAGES:
+    for label, read_off, build in _STAGES:
         for p in read_off(*cells):
             try:
-                images = members(p)
+                member = build(*p)
             except SingularZ:
                 continue
-            for member in images:
-                if (
-                    is_hadamard(member, tol)
-                    and are_equivalent(h, member, tol=tol).decision == "equivalent"
-                ):
-                    distance = fingerprint(member, CLASSIFY_PRECISION).distance(fq)
-                    return Classification(label, tuple(float(x) for x in p), float(distance))
+            if (
+                is_hadamard(member, tol)
+                and are_equivalent(h, member, tol=tol).decision == "equivalent"
+            ):
+                distance = fingerprint(member, CLASSIFY_PRECISION).distance(fq)
+                return Classification(label, tuple(float(x) for x in p), float(distance))
     stack = _panel_stack()
     distance = min(
         fingerprint_distances(stack[k:k + _PANEL_CHUNK], fq).min()

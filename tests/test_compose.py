@@ -73,6 +73,16 @@ def test_block_compose_checks_orders():
         block_compose(f, np.ones((1, 1), dtype=complex), np.zeros(5))
 
 
+def test_block_compose_rejects_nonfinite_deltas():
+    # a NaN delta gave a matrix of NaNs and numpy RuntimeWarnings
+    spec = ComposeSpec("f6", (0.1, 0.2), "h", (0.3, 0.2), (float("nan"), 0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        compose12(spec)
+    f = fourier_f6(0.0, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        block_compose(f, f, [0.0, float("inf"), 0.0, 0.0, 0.0])
+
+
 def test_spec_dict_roundtrip():
     spec = ComposeSpec("f6", (0.1, 0.2), "h", (0.3, 0.4), (0.5, 0.6, 0.7, 0.8, 0.9))
     back = ComposeSpec.from_dict(spec.to_dict())

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hadamard6 import (
     ComposeSpec,
     DimensionMismatch,
+    EquivalenceWitness,
     NotHadamard,
     OrderUnsupported,
     apply_equivalence,
@@ -148,6 +149,17 @@ def test_shape_and_hadamard_guards():
         are_equivalent(f, np.ones((2, 2), dtype=complex))
     with pytest.raises(NotHadamard):
         are_equivalent(f, np.eye(6, dtype=complex))
+
+
+def test_verify_witness_checks_orders():
+    # an order-1 h2 broadcast against the image and gave 2.0; an order-12
+    # one raised numpy's broadcast error
+    f = fourier_f6(0.1, 0.2)
+    w = EquivalenceWitness.identity(6)
+    for h2 in ([[1.0]], np.eye(12, dtype=complex)):
+        with pytest.raises(DimensionMismatch, match="orders differ"):
+            verify_witness(f, h2, w)
+    assert verify_witness(f, f, w) == 0.0
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31), x=st.floats(min_value=-1.4, max_value=1.4))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -158,6 +159,29 @@ def test_family_h_hadamard_near_singular_corners():
                 x1 = s1 * (np.pi / 2 - d * np.cos(t))
                 x2 = s2 * (np.pi / 2 - d * np.sin(t))
                 assert is_hadamard(family_h(x1, x2), DEFAULT_TOL), (x1, x2)
+
+
+def test_family_h_bits_pinned():
+    # the bits of family_h and of family_h_with_signs at every admissible
+    # pattern, over a grid with the +-pi/2 borders and points next to the
+    # singular corners (+-pi/2, -+pi/2); SingularZ is recorded by name
+    xs = list(np.linspace(-np.pi / 2, np.pi / 2, 9))
+    points = [(x1, x2) for x1 in xs for x2 in xs]
+    for d in (1e-13, 1e-12, 1e-9, 1e-6):
+        for s in (1, -1):
+            x = s * (np.pi / 2 - d)
+            points += [(x, -s * np.pi / 2), (x, -x)]
+    builders = [family_h] + [
+        lambda x1, x2, p=p: family_h_with_signs(x1, x2, p) for p in admissible_sign_patterns()
+    ]
+    digest = hashlib.sha256()
+    for x1, x2 in points:
+        for build in builders:
+            try:
+                digest.update(build(x1, x2).tobytes())
+            except SingularZ:
+                digest.update(b"SingularZ")
+    assert digest.hexdigest() == "ed507f16d8ac0522474bfe111e094cadec7094c1803322208a90f37790e3c2e4"
 
 
 def test_reduce_params_column_witness():

@@ -349,6 +349,26 @@ def test_classify_order_outputs_pinned():
     )
 
 
+def test_classify_orientation_outputs_pinned():
+    # the bits of classify's answers where a D6 member's orientation picks
+    # the stage that confirms it: dita_d6(c), its transpose and
+    # dita_corner(c), an image of dita_d6(-c), under random witnesses, at
+    # the points where the read-off of c ties with 0 or meets the box's
+    # edge, and at random c
+    rng = np.random.default_rng(20)
+    ties = [0.0, 1e-9, -1e-9, 1e-8, -1e-8, 5.96e-8, -5.96e-8, np.pi / 4, -np.pi / 4]
+    inputs = []
+    for c in ties + list(rng.uniform(-np.pi / 4, np.pi / 4, 6)):
+        members = [dita_d6(c), dita_d6(c).T]
+        if abs(c) < np.pi / 4:
+            members.append(dita_corner(c))
+        inputs += [apply_equivalence(m, random_witness(6, rng)) for m in members]
+    text = "\n".join(repr(classify(h)) for h in inputs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "db637762246c7c67be787867ddaeca3062180711bc414fdd9d4f6b264e66cb81"
+    )
+
+
 def test_classify_recovers_every_family():
     # each constructor under random witnesses, parameters within 1e-9 of
     # their canonical representative
