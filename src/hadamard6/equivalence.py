@@ -4,7 +4,10 @@ Two Hadamard matrices are equivalent when H2 = D2 P2 H1 P1 D1 for
 permutations P and unit-modulus diagonals D. Dephasing kills the diagonals,
 so H1 ~ H2 iff some row/column permutation of H1 dephases to exactly the
 dephased form of H2; the search below prunes H1's 36 anchors once by their
-sorted entries, then enumerates the 6! * 6! permutation pairs at the rest.
+sorted entries. For each column permutation cp and each surviving anchor
+(a, cp[0]) it then tries the 5! row permutations that map 0 to a, so the
+column permutations of a column with no surviving anchor are never tried,
+and a pair with no surviving anchor is refused before any permutation.
 """
 
 from dataclasses import dataclass
@@ -104,7 +107,9 @@ def _exhaustive_witness(h1, h2, tol):
     for part in (np.real, np.imag):
         gap = np.sort(part(forms).reshape(6, 6, 36)) - np.sort(part(h2d).ravel())
         alive &= np.abs(gap).max(axis=-1) <= atol + 1e-12
-    for b in range(6):
+    # a column b with no surviving anchor tries none of the cp with cp[0] = b,
+    # so a pair with no surviving anchor returns None without a permutation
+    for b in np.flatnonzero(alive.any(axis=0)):
         anchors = np.flatnonzero(alive[:, b])
         for cp in _PERMS6[b]:
             for a in anchors:

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hadamard6 import (
     ComposeSpec,
     DimensionMismatch,
+    EquivalenceResult,
     EquivalenceWitness,
     NotHadamard,
     OrderUnsupported,
@@ -15,6 +17,7 @@ from hadamard6 import (
     are_equivalent,
     block_compose,
     compose12,
+    dephase,
     dita_corner,
     dita_d6,
     family_h,
@@ -24,7 +27,8 @@ from hadamard6 import (
     transpose,
     verify_witness,
 )
-from hadamard6.core import FINGERPRINT_PRECISION, _quadruple_phases
+from hadamard6 import equivalence
+from hadamard6.core import FINGERPRINT_PRECISION, _anchored_forms, _quadruple_phases
 from hadamard6.errors import SingularZ
 from hadamard6.families import FAMILIES
 
@@ -307,3 +311,71 @@ def test_order12_outputs_pinned():
     assert digest.hexdigest() == (
         "5ab1eb3661ed2e3509973f3b3924a6408238a8007d898b0787ebab729ceb9971"
     )
+
+
+class _NoPermutations:
+    def __getitem__(self, key):
+        raise AssertionError("a pair with no surviving anchor tried a permutation")
+
+
+def test_no_surviving_anchor_refused_without_enumeration(monkeypatch):
+    # no anchored form of family_h(0.5, 0.9) has the sorted entries of this
+    # D6 image's dephased form, so the refusal reads no permutation table
+    w = random_witness(6, np.random.default_rng(21))
+    h2 = apply_equivalence(dita_d6(0.3), w)
+    monkeypatch.setattr(equivalence, "_PERMS6", _NoPermutations())
+    res = are_equivalent(family_h(0.5, 0.9), h2, screen=False)
+    assert res == EquivalenceResult("inequivalent")
+
+
+# the 720 permutations in lexicographic order; _PERMS[a] maps 0 to a
+_PERMS = np.array(list(permutations(range(6)))).reshape(6, 120, 6)
+
+
+def _loop_witness(h1, h2, tol):
+    # the enumeration as a plain nested loop over all six column anchors b,
+    # as a reference: each column permutation cp with cp[0] = b, each anchor
+    # a whose sorted entries match the target's, and the first row
+    # permutation σ with σ[0] = a whose dephased form matches
+    h2d, wd = dephase(h2)
+    atol = 10.0 * tol
+    forms = _anchored_forms(h1)
+    alive = np.ones((6, 6), dtype=bool)
+    for part in (np.real, np.imag):
+        gap = np.sort(part(forms).reshape(6, 6, 36)) - np.sort(part(h2d).ravel())
+        alive &= np.abs(gap).max(axis=-1) <= atol + 1e-12
+    for b in range(6):
+        for cp in _PERMS[b]:
+            for a in np.flatnonzero(alive[:, b]):
+                block = _PERMS[a]
+                diffs = np.abs(forms[a, b][:, cp][block] - h2d[None]).reshape(120, -1).max(axis=1)
+                hits = np.nonzero(diffs <= atol)[0]
+                if hits.size:
+                    sigma, m = block[hits[0]], h1[:, cp]
+                    rph = np.conj(wd.row_phases) * m[a, 0] / m[sigma, 0]
+                    cph = np.conj(wd.col_phases) / m[a, :]
+                    return EquivalenceWitness(sigma, rph / np.abs(rph), cp, cph / np.abs(cph))
+    return None
+
+
+def test_enumeration_matches_loop_oracle():
+    # the enumeration's first witness against the plain nested loop, bit for
+    # bit: an image, the transpose and the next tag's member for a member of
+    # every tag, at two tolerances
+    rng = np.random.default_rng(23)
+    members = [FAMILIES[tag][0](*p) for tag, p in PINNED_MEMBERS.items()]
+    pairs = []
+    for k, m in enumerate(members):
+        pairs += [
+            (m, apply_equivalence(m, random_witness(6, rng))),
+            (m, m.T),
+            (m, members[(k + 1) % len(members)]),
+        ]
+    seen = set()
+    for h1, h2 in pairs:
+        for tol in (1e-10, 1e-8):
+            want = _loop_witness(h1, h2, tol)
+            got = equivalence._exhaustive_witness(h1, h2, tol)
+            assert got == want
+            seen.add(want is None)
+    assert seen == {True, False}
