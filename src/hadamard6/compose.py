@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, _as_pair, is_hadamard
+from .core import DEFAULT_TOL, _as_pair, _hadamard_within
 from .errors import NotHadamard, UnknownFamily
 from .families import FAMILIES
 
@@ -76,7 +76,8 @@ def compose12(spec):
     """Build the order-12 Hadamard matrix described by a ComposeSpec."""
     h1 = _build(spec.family1, spec.params1)
     h2 = _build(spec.family2, spec.params2)
-    for name, h in (("h1", h1), ("h2", h2)):
-        if not is_hadamard(h, DEFAULT_TOL):
-            raise NotHadamard(f"{name} is not Hadamard within {DEFAULT_TOL}")
+    pair = np.stack(_as_pair(h1, h2))
+    if not _hadamard_within(pair, DEFAULT_TOL):
+        name = "h2" if _hadamard_within(pair[0], DEFAULT_TOL) else "h1"
+        raise NotHadamard(f"{name} is not Hadamard within {DEFAULT_TOL}")
     return block_compose(h1, h2, spec.deltas)

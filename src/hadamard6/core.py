@@ -50,7 +50,12 @@ def _modulus_defects(m):
 
 def _unitarity_defects(m):
     n = m.shape[-1]
-    return np.abs(np.swapaxes(m.conj(), -1, -2) @ m / n - np.eye(n)).max(axis=(-2, -1))
+    g = np.swapaxes(m.conj(), -1, -2) @ m
+    g /= n
+    # the diagonal less 1.0, in place: bitwise `g / n - eye(n)`
+    d = np.arange(n)
+    g[..., d, d] -= 1.0
+    return np.abs(g).max(axis=(-2, -1))
 
 
 def _hadamard_within(m, tol):
@@ -152,12 +157,9 @@ def _anchored_forms(h):
     return h * h[:, :, None, None] / (h.T[None, :, :, None] * h[:, None, None, :])
 
 
-def dephase(m):
-    """Equivalent matrix with first row and column all ones, plus the witness.
-
-    D2_ii = conj(m_i0)/|m_i0|, then D1_jj from the updated first row.
-    """
-    m = as_matrix(m)
+def _dephased(m):
+    """dephase of a coerced matrix, returning the phases d2 and d1 as arrays
+    in place of the witness."""
     if np.abs(m[:, 0]).min() < 0.5 or np.abs(m[0, :]).min() < 0.5:
         raise NearZeroEntry("first row/column entry with modulus < 0.5")
     d2 = np.conj(m[:, 0]) / np.abs(m[:, 0])
@@ -166,9 +168,17 @@ def dephase(m):
     out = t * d1[None, :]
     out[:, 0] = 1.0
     out[0, :] = 1.0
-    n = m.shape[0]
-    w = EquivalenceWitness(tuple(range(n)), tuple(d2), tuple(range(n)), tuple(d1))
-    return out, w
+    return out, d2, d1
+
+
+def dephase(m):
+    """Equivalent matrix with first row and column all ones, plus the witness.
+
+    D2_ii = conj(m_i0)/|m_i0|, then D1_jj from the updated first row.
+    """
+    out, d2, d1 = _dephased(as_matrix(m))
+    n = out.shape[0]
+    return out, EquivalenceWitness(tuple(range(n)), tuple(d2), tuple(range(n)), tuple(d1))
 
 
 @dataclass(frozen=True)
@@ -210,21 +220,21 @@ def _quadruple_indices(n):
     """Flat indices into m.ravel() of the four factors h_ij, h_kl, h_il, h_kj,
     shape (4, P, P) over the P = n(n-1) ordered pairs i != k (rows) and
     j != l (columns), row-major; empty for n = 1. Read-only, as it is cached."""
-    return _factor_indices(n, *np.nonzero(~np.eye(n, dtype=bool)))
-
-
-@lru_cache(maxsize=None)
-def _quarter_indices(n):
-    """The same four factors over the pairs i < k and j < l only, shape
-    (4, P/2, P/2): the screen's quarter of the quadruples. Read-only."""
-    return _factor_indices(n, *np.triu_indices(n, 1))
-
-
-def _factor_indices(n, i, k):
+    i, k = np.nonzero(~np.eye(n, dtype=bool))
     rows_i, rows_k = (n * i)[:, None], (n * k)[:, None]
     idx = np.stack([rows_i + i, rows_k + k, rows_i + k, rows_k + i])
     idx.flags.writeable = False
     return idx
+
+
+@lru_cache(maxsize=None)
+def _upper_pairs(n):
+    """The pairs i < k of 0..n-1, as the two index arrays of
+    np.triu_indices(n, 1); empty for n = 1. Read-only, as they are cached."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 def _require_fingerprint_input(m):
@@ -234,12 +244,11 @@ def _require_fingerprint_input(m):
         )
 
 
-def _quadruple_products(m, idx):
-    """h_ij h_kl conj(h_il) conj(h_kj) for each matrix of m (n, n) or
-    (K, n, n), over the index table idx of _quadruple_indices or
-    _quarter_indices, flattened to one row per matrix."""
+def _quadruple_products(m):
+    """h_ij h_kl conj(h_il) conj(h_kj) over ordered i != k, j != l for each
+    matrix of m (n, n) or (K, n, n), flattened to one row per matrix."""
     n = m.shape[-1]
-    ij, kl, il, kj = idx
+    ij, kl, il, kj = _quadruple_indices(n)
     flat = m.reshape(m.shape[:-2] + (n * n,))
     conj = flat.conj()
     # in place, left to right in the docstring's order: the rounding of the
@@ -260,20 +269,25 @@ def _quadruple_phases(m):
     FINGERPRINT_HADAMARD_TOL."""
     m = _as_square(m, (2, 3))
     _require_fingerprint_input(m)
-    theta = np.angle(_quadruple_products(m, _quadruple_indices(m.shape[-1])))
+    theta = np.angle(_quadruple_products(m))
     # np.angle is in [-pi, pi]; this is bitwise `theta % (2 * pi)`, and
     # adding 0.0 turns -0.0 into +0.0 as the remainder does
     return theta + (theta < 0) * (2 * np.pi)
 
 
 def _quarter_directions(m):
-    """The unit directions q/|q| of the quadruple products q over i < k,
-    j < l of one coerced matrix, as two flat arrays (cosines, |sines|);
-    unchecked, so m must already be Hadamard within
-    FINGERPRINT_HADAMARD_TOL, which keeps |q| near 1."""
-    q = _quadruple_products(m, _quarter_indices(m.shape[-1]))
-    r = np.abs(q)
-    return q.real / r, np.abs(q.imag) / r
+    """The unit directions of the quadruple products over i < k, j < l of a
+    coerced matrix (n, n) or stack (K, n, n), flattened to one row per
+    matrix, as products of the entries' unit directions e = h/|h|:
+    e_ij conj(e_kj) conj(e_il) e_kl, which equals q/|q| for the quadruple
+    product q in exact arithmetic. Unchecked: every matrix must already be
+    Hadamard within FINGERPRINT_HADAMARD_TOL, so no entry is near zero."""
+    i, k = _upper_pairs(m.shape[-1])
+    e = m / np.abs(m)
+    # rows[..., ik, j] = e_ij conj(e_kj), one row per row pair i < k
+    rows = e[..., i, :] * e.conj()[..., k, :]
+    q = rows[..., i] * rows.conj()[..., k]
+    return q.reshape(m.shape[:-2] + (-1,))
 
 
 def _rounded_sorted(theta, precision):

@@ -25,11 +25,11 @@ from .core import (
     _as_pair,
     _check_precision,
     _check_tol,
+    _dephased,
+    _hadamard_within,
     _quarter_directions,
     _require_fingerprint_input,
     apply_equivalence,
-    dephase,
-    is_hadamard,
 )
 from .errors import NotHadamard, OrderUnsupported
 
@@ -74,31 +74,36 @@ def fingerprint_match(h1, h2, precision=FINGERPRINT_PRECISION, tol=DEFAULT_TOL):
     about 0 whose gaps are those of sorted |Im(u)|. The largest gaps are
     therefore those of sorted Re(u) and sorted |Im(u)|, the numbers the
     ordered multiset gives, in exact arithmetic.
+
+    Each u is formed as a product of the entries' unit directions,
+    e_ij conj(e_kj) conj(e_il) e_kl with e = h/|h|, not by dividing q by
+    |q|. In exact arithmetic the two are equal; in floating point they
+    differ by a few ulps, which 10**-precision covers with the rest of the
+    float noise.
     """
     _check_tol(tol)
     _check_precision(precision)
-    h1, h2 = _as_pair(h1, h2)
-    _require_fingerprint_input(h1)
-    _require_fingerprint_input(h2)
-    return _directions_match(h1, h2, precision, tol)
+    pair = np.stack(_as_pair(h1, h2))
+    _require_fingerprint_input(pair)
+    return _directions_match(pair, precision, tol)
 
 
-def _directions_match(h1, h2, precision, tol):
-    """fingerprint_match on coerced, checked matrices of one order."""
+def _directions_match(pair, precision, tol):
+    """fingerprint_match on a coerced, checked stack (2, n, n); the sines
+    are sorted only when the cosines match."""
     r = 40.0 * tol
     margin = 10.0**-precision + r * (1.0 + r)
+    u = _quarter_directions(pair)
     return all(
-        np.abs(np.sort(a) - np.sort(b)).max(initial=0.0) <= margin
-        for a, b in zip(_quarter_directions(h1), _quarter_directions(h2))
+        np.abs(np.subtract(*np.sort(part(u), axis=-1))).max(initial=0.0) <= margin
+        for part in (np.real, lambda z: np.abs(z.imag))
     )
 
 
 def _exhaustive_witness(h1, h2, tol):
     """First witness in (column-outer, row-inner) lexicographic order, or None."""
-    h2d, wd = dephase(h2)
+    h2d, g2, g1 = _dephased(h2)
     atol = 10.0 * tol
-    g2 = np.asarray(wd.row_phases)
-    g1 = np.asarray(wd.col_phases)
     forms = _anchored_forms(h1)
     # alive[a, b]: the sorted real and imaginary parts of forms[a, b] match
     # h2d's. A column permutation cp only reorders the entries of the form at
@@ -142,16 +147,17 @@ def are_equivalent(h1, h2, tol=DEFAULT_TOL, screen=True):
     n = h1.shape[0]
     if n not in (6, 12):
         raise OrderUnsupported(f"equivalence decisions support n in (6, 12), got {n}")
-    for name, h in (("first", h1), ("second", h2)):
-        if not is_hadamard(h, tol):
-            raise NotHadamard(f"{name} matrix is not Hadamard within {tol}")
+    _check_tol(tol)
+    pair = np.stack((h1, h2))
+    if not _hadamard_within(pair, tol):
+        name = "second" if _hadamard_within(h1, tol) else "first"
+        raise NotHadamard(f"{name} matrix is not Hadamard within {tol}")
 
     # inputs Hadamard within tol <= FINGERPRINT_HADAMARD_TOL pass the screen's gate
     screened = screen and (
-        tol <= FINGERPRINT_HADAMARD_TOL
-        or all(is_hadamard(h, FINGERPRINT_HADAMARD_TOL) for h in (h1, h2))
+        tol <= FINGERPRINT_HADAMARD_TOL or _hadamard_within(pair, FINGERPRINT_HADAMARD_TOL)
     )
-    if screened and not _directions_match(h1, h2, FINGERPRINT_PRECISION, tol):
+    if screened and not _directions_match(pair, FINGERPRINT_PRECISION, tol):
         return EquivalenceResult(
             "inequivalent",
             screened_by=f"fingerprint mismatch at precision {FINGERPRINT_PRECISION}",

@@ -14,6 +14,7 @@ from hadamard6 import (
     is_hadamard,
     unitarity_defect,
 )
+from hadamard6 import compose
 
 
 def test_zero_deltas_is_kron_doubling():
@@ -58,6 +59,18 @@ def test_singular_member_rejected():
     with pytest.raises(Exception) as exc_info:
         compose12(ComposeSpec("h", (np.pi / 2, np.pi / 2), "f6", (0.0, 0.0), (0.0,) * 5))
     assert exc_info.type.__name__ in ("SingularZ", "NotHadamard")
+
+
+def test_gate_names_the_failing_block(monkeypatch):
+    # no family parameter reaches the gate (near its singular corner
+    # family_h raises SingularZ first), so a stand-in constructor serves "h"
+    names = compose._TWO_PARAMETER["h"][1]
+    for bad in (np.eye(6, dtype=complex), np.ones((6, 6), dtype=complex)):
+        monkeypatch.setitem(compose._TWO_PARAMETER, "h", (lambda x1, x2: bad, names))
+        for family1, family2, name in (("f6", "h", "h2"), ("h", "f6", "h1"), ("h", "h", "h1")):
+            spec = ComposeSpec(family1, (0.1, 0.2), family2, (0.3, 0.2), (0.0,) * 5)
+            with pytest.raises(NotHadamard, match=f"^{name} is not Hadamard within 1e-10$"):
+                compose12(spec)
 
 
 def test_block_compose_checks_delta_shape():

@@ -31,9 +31,10 @@ from hadamard6 import (
     unitarity_defect,
 )
 from hadamard6 import io
-from hadamard6.core import _quadruple_phases
+from hadamard6.core import _quadruple_phases, _unitarity_defects
+from hadamard6.families import FAMILIES
 
-from conftest import fingerprint_oracle, random_witness
+from conftest import PINNED_MEMBERS, fingerprint_oracle, random_witness
 
 F0 = fourier_f6(0.0, 0.0)
 
@@ -50,6 +51,31 @@ def test_unitarity_defect_examples():
     # all-ones 2x2: M M^dag / 2 = [[1,1],[1,1]], off diagonal 1
     ones = np.ones((2, 2), dtype=complex)
     assert abs(unitarity_defect(ones) - 1.0) < 1e-15
+
+
+def test_unitarity_defect_bits():
+    # the bits of max |m^H m / n - I|, which project_search compares to pick
+    # its best iterate and reports as final_defect: members of every tag,
+    # random unimodular matrices, jittered images, order 12 and a stack
+    rng = np.random.default_rng(37)
+
+    def reference(m):
+        n = m.shape[-1]
+        return np.abs(m.conj().T @ m / n - np.eye(n)).max()
+
+    mats = []
+    for tag, params in PINNED_MEMBERS.items():
+        m = FAMILIES[tag][0](*params)
+        image = apply_equivalence(m, random_witness(6, rng))
+        mats += [m, image * np.exp(1j * 1e-8 * rng.standard_normal((6, 6)))]
+    mats += [np.exp(2j * np.pi * rng.random((n, n))) for n in (1, 2, 6, 12)]
+    mats.append(block_compose(F0, family_h(0.3, 0.2), rng.uniform(-np.pi, np.pi, 5)))
+    for m in mats:
+        assert unitarity_defect(m).hex() == float(reference(m)).hex()
+    stack = np.stack(mats[:16])
+    assert [float(d).hex() for d in _unitarity_defects(stack)] == [
+        float(reference(m)).hex() for m in stack
+    ]
 
 
 def test_is_hadamard():

@@ -28,7 +28,12 @@ from hadamard6 import (
     verify_witness,
 )
 from hadamard6 import equivalence
-from hadamard6.core import FINGERPRINT_PRECISION, _anchored_forms, _quadruple_phases
+from hadamard6.core import (
+    FINGERPRINT_PRECISION,
+    _anchored_forms,
+    _quadruple_phases,
+    _quarter_directions,
+)
 from hadamard6.errors import SingularZ
 from hadamard6.families import FAMILIES
 
@@ -287,6 +292,93 @@ def test_screen_matches_ordered_oracle():
     f = fourier_f6(0.0, 0.0)
     res = are_equivalent(f, f.conj())
     assert res.decision == "equivalent" and res.screened_by is None
+
+
+def _index_quarter(h):
+    # the quarter through four flat index tables over i < k, j < l, as a
+    # reference: q = h_ij h_kl conj(h_il) conj(h_kj) and its unit direction
+    # q / |q|, as sorted cosines and sorted |sines|
+    n = h.shape[0]
+    i, k = np.triu_indices(n, 1)
+    rows_i, rows_k = (n * i)[:, None], (n * k)[:, None]
+    flat = h.ravel()
+    q = flat[rows_i + i] * flat[rows_k + k] * flat[rows_i + k].conj() * flat[rows_k + i].conj()
+    u = (q / np.abs(q)).ravel()
+    return np.sort(u.real), np.sort(np.abs(u.imag))
+
+
+def _fourier(n):
+    return np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+
+
+def _f4(a):
+    # the one-parameter family of order 4
+    z = 1j * np.exp(1j * a)
+    return np.array([[1, 1, 1, 1], [1, z, -1, -z], [1, -1, 1, -1], [1, -z, -1, z]])
+
+
+def test_quarter_directions_match_index_oracle():
+    # the screen's products of entry directions against q / |q| from the
+    # index tables: members of every tag and their images, order-12
+    # compositions, and orders 1, 2 and 4, whose quarter at n = 1 is empty
+    rng = np.random.default_rng(29)
+    mats = []
+    for tag, params in PINNED_MEMBERS.items():
+        m = FAMILIES[tag][0](*params)
+        mats += [m, apply_equivalence(m, random_witness(6, rng))]
+    mats += [compose12(_random_spec(rng)) for _ in range(12)]
+    mats += [np.ones((1, 1), dtype=complex), _fourier(2), _fourier(4)]
+    for h in mats:
+        n = h.shape[0]
+        u = _quarter_directions(h)
+        assert u.shape == ((n * (n - 1) // 2) ** 2,)
+        got = np.sort(u.real), np.sort(np.abs(u.imag))
+        for a, b in zip(got, _index_quarter(h)):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max(initial=0.0) <= 1e-14
+        # a stack gives each matrix's directions bit for bit
+        image = apply_equivalence(h, random_witness(n, rng))
+        stacked = _quarter_directions(np.stack((h, image)))
+        assert stacked[0].tobytes() == u.tobytes()
+        assert stacked[1].tobytes() == _quarter_directions(image).tobytes()
+
+
+def test_screen_matches_ordered_oracle_small_orders():
+    # fingerprint_match against the full ordered multiset at orders 2 and 4:
+    # images, jittered images and the next member of the order-4 family
+    rng = np.random.default_rng(31)
+    f4s = [_f4(a) for a in (0.0, 0.3, 1.1, 2.0)]
+    pairs = []
+    for k, m in enumerate([_fourier(2)] + f4s):
+        n = m.shape[0]
+        assert is_hadamard(m)
+        image = apply_equivalence(m, random_witness(n, rng))
+        pairs.append((m, image))
+        for scale in (1e-10, 1e-9, 1e-8, 1e-6):
+            pairs.append((m, image * np.exp(1j * scale * rng.standard_normal((n, n)))))
+        if n == 4:
+            pairs.append((m, f4s[k % len(f4s)]))
+    seen = set()
+    for h1, h2 in pairs:
+        for tol in (1e-10, 1e-8):
+            want = _outcome(_ordered_screen, h1, h2, tol)
+            assert _outcome(fingerprint_match, h1, h2, tol) == want
+            seen.add((h1.shape[0], want))
+    assert {(2, True), (4, True), (4, False)} <= seen
+
+
+def test_gate_names_the_failing_matrix():
+    # one gate runs over both matrices; a failure names the first that
+    # fails. The identity fails the modulus check, all-ones only unitarity
+    f6, f12 = fourier_f6(0.0, 0.0), block_compose(fourier_f6(0.1, 0.2), family_h(0.3, 0.2), np.zeros(5))
+    for good in (f6, f12):
+        n = good.shape[0]
+        for bad in (np.eye(n, dtype=complex), np.ones((n, n), dtype=complex)):
+            for h1, h2, name in ((good, bad, "second"), (bad, good, "first"), (bad, bad, "first")):
+                with pytest.raises(NotHadamard, match=f"^{name} matrix is not Hadamard within 1e-10$"):
+                    are_equivalent(h1, h2)
+    with pytest.raises(NotHadamard, match="^second matrix is not Hadamard within 1e-08$"):
+        are_equivalent(f6, f6 * (1 + 1e-6), tol=1e-8)
 
 
 def test_order12_outputs_pinned():
