@@ -67,9 +67,9 @@ def _cmd_verify(args):
     m = io.read_matrix(args.infile)
     tol = _tol_from(args)
     return {
-        "modulus_defect": float(modulus_defect(m)),
-        "unitarity_defect": float(unitarity_defect(m)),
-        "hadamard": bool(is_hadamard(m, tol)),
+        "modulus_defect": modulus_defect(m),
+        "unitarity_defect": unitarity_defect(m),
+        "hadamard": is_hadamard(m, tol),
     }
 
 
@@ -87,7 +87,7 @@ def _cmd_equiv(args):
 def _cmd_fingerprint(args):
     m = io.read_matrix(args.infile)
     fp = fingerprint(m, args.precision)
-    return {"precision": fp.rounding, "values": [float(v) for v in fp.values]}
+    return {"precision": fp.rounding, "values": fp.values}
 
 
 def _cmd_scan(args):
@@ -99,7 +99,7 @@ def _cmd_scan(args):
             x2 = -math.pi / 2 + k2 * math.pi / n
             try:
                 m = family_h(x1, x2)
-                md, ud = repr(float(modulus_defect(m))), repr(float(unitarity_defect(m)))
+                md, ud = repr(modulus_defect(m)), repr(unitarity_defect(m))
             except SingularZ:
                 md = ud = "nan"
             lines.append(f"{x1!r},{x2!r},{md},{ud}")

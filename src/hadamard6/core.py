@@ -6,6 +6,7 @@ when every entry has modulus 1 within t and H^dagger H / n is the identity
 within t.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -115,8 +116,11 @@ class EquivalenceWitness:
 
     def __post_init__(self):
         n = len(self.row_perm)
-        object.__setattr__(self, "row_perm", tuple(int(i) for i in self.row_perm))
-        object.__setattr__(self, "col_perm", tuple(int(i) for i in self.col_perm))
+        try:
+            object.__setattr__(self, "row_perm", tuple(map(operator.index, self.row_perm)))
+            object.__setattr__(self, "col_perm", tuple(map(operator.index, self.col_perm)))
+        except TypeError:
+            raise ValueError("permutation entries must be integers") from None
         object.__setattr__(self, "row_phases", tuple(complex(p) for p in self.row_phases))
         object.__setattr__(self, "col_phases", tuple(complex(p) for p in self.col_phases))
         if not (len(self.col_perm) == len(self.row_phases) == len(self.col_phases) == n):

@@ -21,8 +21,8 @@ def matrix_to_obj(m):
     m = as_matrix(m)
     return {
         "n": m.shape[0],
-        "re": [[float(x) for x in row] for row in m.real],
-        "im": [[float(x) for x in row] for row in m.imag],
+        "re": m.real.tolist(),
+        "im": m.imag.tolist(),
     }
 
 

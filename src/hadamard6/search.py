@@ -115,10 +115,8 @@ def _pi_cells(h):
 
 def _unique(points):
     """The points (K, d) whose rounding to 9 digits is new, in order."""
-    seen = {}
-    for p, k in zip(points, np.round(points, 9)):
-        seen.setdefault(tuple(k), p)
-    return np.array(list(seen.values()), dtype=float).reshape(-1, points.shape[1])
+    _, first = np.unique(np.round(points, 9), axis=0, return_index=True)
+    return points[np.sort(first)]
 
 
 def _half_angles(z):
@@ -213,10 +211,10 @@ def classify(h, grid_n=24):
     parameters up to the family's orbit (for H, in the member's own
     orientation: its transpose is another member). Every point read off is
     confirmed or refuted by are_equivalent, whose `inequivalent` is a proof,
-    except where the builder raises SingularZ or gives no Hadamard matrix
-    within the tolerance, as family_h at (pi/2, pi/2), the H read-off of
-    every dita_d6(c): no member lies there. An `unknown` reports the least
-    fingerprint distance to the members of _PANEL."""
+    except where the builder raises SingularZ or are_equivalent raises
+    NotHadamard for the member, as for family_h at (pi/2, pi/2), the H
+    read-off of every dita_d6(c): no member lies there. An `unknown` reports
+    the least fingerprint distance to the members of _PANEL."""
     h = as_matrix(h)
     if h.shape[0] != 6:
         raise OrderUnsupported("classification is order-6 only")
@@ -229,12 +227,10 @@ def classify(h, grid_n=24):
         for p in read_off(*cells):
             try:
                 member = build(*p)
-            except SingularZ:
+                result = are_equivalent(h, member, tol=tol)
+            except (SingularZ, NotHadamard):
                 continue
-            if (
-                is_hadamard(member, tol)
-                and are_equivalent(h, member, tol=tol).decision == "equivalent"
-            ):
+            if result.decision == "equivalent":
                 distance = fingerprint(member, CLASSIFY_PRECISION).distance(fq)
                 return Classification(label, tuple(float(x) for x in p), float(distance))
     stack = _panel_stack()

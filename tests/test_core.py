@@ -109,6 +109,13 @@ def test_witness_validation():
         EquivalenceWitness((0, 0, 1, 2, 3, 4), (1,) * 6, tuple(range(6)), (1,) * 6)
     with pytest.raises(DimensionMismatch):
         EquivalenceWitness(tuple(range(6)), (1,) * 5, tuple(range(6)), (1,) * 6)
+    # a non-integer entry is refused, not truncated to the identity
+    with pytest.raises(ValueError, match="must be integers"):
+        EquivalenceWitness((0, 1.9, 2, 3, 4, 5), (1,) * 6, tuple(range(6)), (1,) * 6)
+    obj = io.witness_to_obj(EquivalenceWitness.identity(6))
+    obj["row_perm"] = [0, 1.5, 2, 3, 4, 5]
+    with pytest.raises(ValueError, match="must be integers"):
+        io.witness_from_obj(obj)
 
 
 def test_apply_equivalence_identity():

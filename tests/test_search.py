@@ -38,6 +38,7 @@ from hadamard6.search import (
     _h_read_off,
     _panel_stack,
     _pi_cells,
+    _unique,
 )
 
 from conftest import FAMILY_BOXES, PINNED_MEMBERS, random_witness
@@ -215,6 +216,32 @@ def test_classify_skips_singular_read_off(monkeypatch):
     monkeypatch.setattr("hadamard6.search._STAGES", tuple(s for s in _STAGES if s[0] == "H-family"))
     c = classify(h)
     assert (c.label, c.params) == ("unknown", None)
+
+
+def test_classify_skips_non_hadamard_member(monkeypatch):
+    # a read-off point whose member fails are_equivalent's gate is skipped,
+    # and the later stages still decide
+    h = dita_d6(0.3)
+    expect = classify(h)
+    built = []
+
+    def not_hadamard(x):
+        built.append(x)
+        return np.ones((6, 6), dtype=complex)
+
+    stages = (("D6", lambda r, c, i: np.zeros((1, 1)), not_hadamard),) + _STAGES
+    monkeypatch.setattr("hadamard6.search._STAGES", stages)
+    c = classify(h)
+    assert built == [0.0]
+    assert (c.label, c.params) == (expect.label, expect.params)
+
+
+def test_unique_keeps_first_occurrences_in_order():
+    points = np.array([[0.3 + 1e-11, 0.1], [0.2, 0.5], [0.3, 0.1 + 1e-12], [0.1, 0.0], [0.2, 0.5]])
+    # rows equal after rounding to 9 digits merge into the first, unrounded
+    assert np.array_equal(_unique(points), points[[0, 1, 3]])
+    for d in (1, 2):
+        assert _unique(np.zeros((0, d))).shape == (0, d)
 
 
 def test_read_off_holds_member():
