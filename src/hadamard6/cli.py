@@ -3,7 +3,6 @@ equivalence, fingerprints, grid scans, projection search, classification,
 and order-12 composition, all as reproducible batch commands."""
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -28,17 +27,6 @@ def _tol_from(args):
     if env is not None:
         return float(env)
     return DEFAULT_TOL
-
-
-def _emit(result, out_path):
-    """Write a verb's result: CSV text as it is, anything else as strict JSON
-    through io.to_obj."""
-    text = result if isinstance(result, str) else io.dumps(io.to_obj(result))
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _positive_int(text):
@@ -118,7 +106,7 @@ def _cmd_search(args):
         records.append(_search_record(project_search(cfg)))
     obj = records[0] if args.runs == 1 else records
     if not all(r["converged"] for r in records):
-        _emit(obj, args.out)  # the records are written before the failure exit
+        io.emit(obj, args.out)  # the records are written before the failure exit
         raise MaxIterExceeded("a search run did not converge")
     return obj
 
@@ -128,9 +116,7 @@ def _cmd_classify(args):
 
 
 def _cmd_compose12(args):
-    with open(args.spec) as fh:
-        spec = ComposeSpec.from_dict(json.load(fh))
-    return compose12(spec)
+    return compose12(ComposeSpec.from_dict(io.read_json(args.spec)))
 
 
 def _build_parser():
@@ -208,8 +194,8 @@ def main(argv=None):
         return exc.code if exc.code is not None else 0
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            _emit(args.func(args), args.out)
-    except (HadamardError, ValueError, OSError, KeyError, FloatingPointError) as exc:
+            io.emit(args.func(args), args.out)
+    except (HadamardError, ValueError, OSError, FloatingPointError) as exc:
         print(type(exc).__name__, file=sys.stderr)
         return 1
     return 0

@@ -8,6 +8,7 @@ import numpy as np
 from .core import DEFAULT_TOL, _as_pair, _hadamard_within
 from .errors import NotHadamard, UnknownFamily
 from .families import FAMILIES
+from .io import wrong_shape
 
 # the two-parameter families (border's second parameter is its axis string)
 _TWO_PARAMETER = {t: f for t, f in FAMILIES.items() if len(f[1]) == 2 and "axis" not in f[1]}
@@ -23,7 +24,7 @@ class ComposeSpec:
 
     @classmethod
     def from_dict(cls, obj):
-        try:
+        with wrong_shape("compose spec"):
             h1, h2 = obj["h1"], obj["h2"]
             return cls(
                 family1=str(h1["family"]),
@@ -32,10 +33,6 @@ class ComposeSpec:
                 params2=tuple(float(x) for x in h2["params"]),
                 deltas=tuple(float(x) for x in obj["deltas"]),
             )
-        except TypeError:  # a number or list where the spec needs a list or object
-            raise ValueError("malformed compose spec") from None
-        except OverflowError:  # an integer too large for a float
-            raise ValueError("compose spec number is too large for a float") from None
 
     def to_dict(self):
         return {

@@ -1,20 +1,31 @@
-"""JSON wire format for matrices, witnesses and the library's results.
+"""Every file the package reads or writes, in the JSON wire format below.
 
 Matrix object: {"n": int, "re": [[...]], "im": [[...]]}. Readers also accept
 the phase form {"n": int, "phase_turns": [[...]]} with entries
-exp(2*pi*i*turns). Writers emit re/im.
+exp(2*pi*i*turns). Writers emit re/im. Malformed JSON is a ValueError.
 
-`to_obj` is the one encoder of results: a result's JSON keys are its
-dataclass field names, and a tuple of complex phases, such as a witness's
-row_phases, is {"re": [...], "im": [...]}.
+`to_obj` is the one encoder of results and `emit` the one writer: a result's
+JSON keys are its dataclass field names, and a tuple of complex phases, such
+as a witness's row_phases, is {"re": [...], "im": [...]}.
 """
 
+import contextlib
 import dataclasses
 import json
+import sys
 
 import numpy as np
 
 from .core import EquivalenceWitness, as_matrix
+
+
+@contextlib.contextmanager
+def wrong_shape(what):
+    """ValueError for the KeyError, TypeError or OverflowError of JSON of the wrong shape."""
+    try:
+        yield
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed {what}: {type(exc).__name__}: {exc}") from None
 
 
 def matrix_to_obj(m):
@@ -27,22 +38,14 @@ def matrix_to_obj(m):
 
 
 def matrix_from_obj(obj):
-    if not isinstance(obj, dict) or "n" not in obj:
-        raise ValueError("matrix object must be a dict with an 'n' field")
-    try:
+    with wrong_shape("matrix object"):
         n = obj["n"]
         if isinstance(n, (str, bool)) or n != int(n):
             raise ValueError(f"matrix object 'n' must be an integer, got {n!r}")
         if "phase_turns" in obj:
             m = np.exp(2j * np.pi * _finite(obj["phase_turns"]))
-        elif "re" in obj and "im" in obj:
-            m = _finite(obj["re"]) + 1j * _finite(obj["im"])
         else:
-            raise ValueError("matrix object needs 're'/'im' or 'phase_turns'")
-    except TypeError:  # null, a list or an object where a number is needed
-        raise ValueError("matrix object field has the wrong JSON type") from None
-    except OverflowError:  # an infinite n, or an integer too large for a float
-        raise ValueError("matrix object field is not a finite number") from None
+            m = _finite(obj["re"]) + 1j * _finite(obj["im"])
     m = as_matrix(m)
     if m.shape[0] != n:
         raise ValueError(f"declared n={n} but entries are {m.shape[0]}x{m.shape[1]}")
@@ -79,14 +82,15 @@ def witness_to_obj(w):
 
 def witness_from_obj(obj):
     def phases(d):
-        return tuple(complex(r, i) for r, i in zip(d["re"], d["im"]))
+        return tuple(complex(r, i) for r, i in zip(d["re"], d["im"], strict=True))
 
-    return EquivalenceWitness(
-        tuple(obj["row_perm"]),
-        phases(obj["row_phases"]),
-        tuple(obj["col_perm"]),
-        phases(obj["col_phases"]),
-    )
+    with wrong_shape("witness object"):
+        return EquivalenceWitness(
+            tuple(obj["row_perm"]),
+            phases(obj["row_phases"]),
+            tuple(obj["col_perm"]),
+            phases(obj["col_phases"]),
+        )
 
 
 def dumps(obj):
@@ -95,11 +99,26 @@ def dumps(obj):
     return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
-def read_matrix(path):
+def read_json(path):
+    """The decoded JSON of a file; nesting too deep to decode is a ValueError."""
     with open(path) as fh:
-        return matrix_from_obj(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply to decode") from None
+
+
+def read_matrix(path):
+    return matrix_from_obj(read_json(path))
+
+
+def emit(result, path=None):
+    """Write a result to path, or to stdout without one: CSV text as it is,
+    anything else as strict JSON through to_obj."""
+    text = result if isinstance(result, str) else dumps(to_obj(result))
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text)
 
 
 def write_matrix(path, m):
-    with open(path, "w") as fh:
-        fh.write(dumps(matrix_to_obj(m)))
+    emit(as_matrix(m), path)

@@ -19,7 +19,7 @@ from hadamard6 import (
     self_adjoint_h,
     symmetric_m,
 )
-from hadamard6 import io
+from hadamard6 import errors, io
 from hadamard6.cli import main
 from hadamard6.families import FAMILIES
 from hadamard6.search import SearchConfig, project_search
@@ -159,6 +159,7 @@ _PINNED_WITNESSES = (
 )
 
 
+@pytest.mark.float_bits
 def test_equiv_witness_choice_pinned(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for h1, h2, row_perm, col_perm, digest in _PINNED_WITNESSES:
@@ -171,6 +172,7 @@ def test_equiv_witness_choice_pinned(tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.float_bits
 def test_cli_outputs_pinned(tmp_path, capsys, monkeypatch):
     # the bytes of every verb's stdout and stderr and its exit code, over a
     # fixed panel whose inputs come from fixed numpy seeds; file names are
@@ -399,6 +401,28 @@ def test_compose12_malformed_spec(tmp_path, capsys):
         assert run(capsys, "compose12", "--spec", str(path)) == (1, "", "ValueError\n")
 
 
+def test_compose12_empty_spec(tmp_path, capsys):
+    # a spec with no keys raised KeyError, not a malformed spec's ValueError
+    path = tmp_path / "spec.json"
+    path.write_text("{}")
+    assert run(capsys, "compose12", "--spec", str(path)) == (1, "", "ValueError\n")
+
+
+def _matrix_readers(path):
+    """The argv of every verb that reads a matrix file, reading path."""
+    p = str(path)
+    verbs = ("verify", "dephase", "fingerprint", "classify")
+    return [(verb, "--in", p) for verb in verbs] + [("equiv", "--a", p, "--b", p)]
+
+
+def test_deeply_nested_json(tmp_path, capsys):
+    # json.load raised RecursionError, which main did not name
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    for argv in _matrix_readers(path) + [("compose12", "--spec", str(path))]:
+        assert run(capsys, *argv) == (1, "", "ValueError\n")
+
+
 def test_compose12_wrong_param_count(tmp_path, capsys):
     spec = {
         "h1": {"family": "f6", "params": [0.1]},
@@ -573,3 +597,34 @@ def test_malformed_input_fuzz(tmp_path, capsys, matrix, spec):
     _assert_clean_exit(*run(capsys, "equiv", "--a", str(path), "--b", str(path)))
     path.write_text(json.dumps(spec))
     _assert_clean_exit(*run(capsys, "compose12", "--spec", str(path)))
+
+
+# what an exit of 1 may print on stderr: the name of an error main catches
+_ERROR_LINES = {
+    name + "\n"
+    for name, c in vars(errors).items()
+    if isinstance(c, type) and issubclass(c, errors.HadamardError)
+} | {"ValueError\n", "FloatingPointError\n"}
+
+
+def _assert_named_error(code, out, err):
+    if code == 1:
+        assert out == ""
+        assert err in _ERROR_LINES
+
+
+@given(matrix=_matrices, spec=_specs)
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_error_exit_names_the_error(tmp_path, capsys, matrix, spec):
+    # on any input, an exit of 1 means empty stdout and one error name on stderr
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(matrix))
+    for argv in _matrix_readers(path):
+        _assert_named_error(*run(capsys, *argv))
+    path.write_text(json.dumps(spec))
+    _assert_named_error(*run(capsys, "compose12", "--spec", str(path)))

@@ -106,3 +106,9 @@ def test_spec_dict_roundtrip():
         "deltas": [0.5, 0.6, 0.7, 0.8, 0.9],
     }
     assert ComposeSpec.from_dict(obj).to_dict() == obj
+
+
+def test_spec_from_empty_dict():
+    # a missing key raised KeyError
+    with pytest.raises(ValueError):
+        ComposeSpec.from_dict({})

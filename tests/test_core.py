@@ -291,6 +291,25 @@ def test_witness_json_roundtrip(rng):
     assert np.max(np.abs(np.array(back.col_phases) - np.array(w.col_phases))) < 1e-15
 
 
+_WITNESS_OBJ = io.witness_to_obj(EquivalenceWitness.identity(6))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        {k: v for k, v in _WITNESS_OBJ.items() if k != "col_phases"},
+        # 7 real parts against 6 imaginary parts were cut to 6 phases
+        dict(_WITNESS_OBJ, row_phases={"re": [1.0] * 7, "im": [0.0] * 6}),
+    ],
+    ids=["empty", "list", "no_col_phases", "seven_re_six_im"],
+)
+def test_witness_obj_malformed(obj):
+    with pytest.raises(ValueError):
+        io.witness_from_obj(obj)
+
+
 angles = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
 
 
@@ -389,6 +408,7 @@ def test_dephase_canonical_within_phasing_orbit(seed):
     assert np.max(np.abs(a - b)) < 1e-12
 
 
+@pytest.mark.float_bits
 def test_quadruple_phases_bits_pinned():
     # the screen compares raw phases, whose last bits follow the multiply
     # order of _quadruple_phases (h_ij h_kl conj(h_il) conj(h_kj), left to

@@ -182,6 +182,7 @@ def test_equivalence_roundtrip_property(seed, x):
     assert verify_witness(h1, h2, res.witness) < 1e-8
 
 
+@pytest.mark.float_bits
 def test_are_equivalent_outputs_pinned():
     # the bits of are_equivalent's answers, witnesses included, at two
     # tolerances with the screen on and off: an image of a member of each
@@ -381,6 +382,7 @@ def test_gate_names_the_failing_matrix():
         are_equivalent(f6, f6 * (1 + 1e-6), tol=1e-8)
 
 
+@pytest.mark.float_bits
 def test_order12_outputs_pinned():
     # the bits of compose12's matrices and of order-12 are_equivalent
     # answers: distinct pairs, images under random witnesses, images with

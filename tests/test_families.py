@@ -161,6 +161,7 @@ def test_family_h_hadamard_near_singular_corners():
                 assert is_hadamard(family_h(x1, x2), DEFAULT_TOL), (x1, x2)
 
 
+@pytest.mark.float_bits
 def test_family_h_bits_pinned():
     # the bits of family_h and of family_h_with_signs at every admissible
     # pattern, over a grid with the +-pi/2 borders and points next to the

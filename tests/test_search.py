@@ -333,6 +333,7 @@ def test_classify_edge_panel():
             assert np.max(np.abs(np.array(c.params) - params)) < 1e-9
 
 
+@pytest.mark.float_bits
 def test_classify_outputs_pinned():
     # the bits of classify's answers, parameters and distances included: two
     # images of a member of each tag, the edge panel and SPECTRAL_SIX
@@ -358,6 +359,7 @@ def test_classify_outputs_pinned():
     )
 
 
+@pytest.mark.float_bits
 def test_classify_order_outputs_pinned():
     # inputs where the order in which read-off points are tried could pick
     # the reported parameters: both orientations of an H member and their
@@ -376,6 +378,7 @@ def test_classify_order_outputs_pinned():
     )
 
 
+@pytest.mark.float_bits
 def test_classify_orientation_outputs_pinned():
     # the bits of classify's answers where a D6 member's orientation picks
     # the stage that confirms it: dita_d6(c), its transpose and
