@@ -8,7 +8,7 @@ import numpy as np
 from .core import DEFAULT_TOL, _as_pair, _hadamard_within
 from .errors import NotHadamard, UnknownFamily
 from .families import FAMILIES
-from .io import wrong_shape
+from .io import _numbers, wrong_shape
 
 # the two-parameter families (border's second parameter is its axis string)
 _TWO_PARAMETER = {t: f for t, f in FAMILIES.items() if len(f[1]) == 2 and "axis" not in f[1]}
@@ -28,10 +28,10 @@ class ComposeSpec:
             h1, h2 = obj["h1"], obj["h2"]
             return cls(
                 family1=str(h1["family"]),
-                params1=tuple(float(x) for x in h1["params"]),
+                params1=_numbers(h1["params"]),
                 family2=str(h2["family"]),
-                params2=tuple(float(x) for x in h2["params"]),
-                deltas=tuple(float(x) for x in obj["deltas"]),
+                params2=_numbers(h2["params"]),
+                deltas=_numbers(obj["deltas"]),
             )
 
     def to_dict(self):

@@ -220,25 +220,15 @@ class Fingerprint:
 
 
 @lru_cache(maxsize=None)
-def _quadruple_indices(n):
-    """Flat indices into m.ravel() of the four factors h_ij, h_kl, h_il, h_kj,
-    shape (4, P, P) over the P = n(n-1) ordered pairs i != k (rows) and
-    j != l (columns), row-major; empty for n = 1. Read-only, as it is cached."""
-    i, k = np.nonzero(~np.eye(n, dtype=bool))
+def _quadruple_indices(n, quarter=False):
+    """Flat indices into m.ravel() of h_ij, h_kl, h_il, h_kj, shape (4, P, P),
+    over the row pairs (i, k), i != k or with quarter i < k, and the same
+    column pairs (j, l), row-major; empty for n = 1. Read-only, as cached."""
+    i, k = np.triu_indices(n, 1) if quarter else np.nonzero(~np.eye(n, dtype=bool))
     rows_i, rows_k = (n * i)[:, None], (n * k)[:, None]
     idx = np.stack([rows_i + i, rows_k + k, rows_i + k, rows_k + i])
     idx.flags.writeable = False
     return idx
-
-
-@lru_cache(maxsize=None)
-def _upper_pairs(n):
-    """The pairs i < k of 0..n-1, as the two index arrays of
-    np.triu_indices(n, 1); empty for n = 1. Read-only, as they are cached."""
-    pairs = np.triu_indices(n, 1)
-    for a in pairs:
-        a.flags.writeable = False
-    return pairs
 
 
 def _require_fingerprint_input(m):
@@ -248,11 +238,11 @@ def _require_fingerprint_input(m):
         )
 
 
-def _quadruple_products(m):
-    """h_ij h_kl conj(h_il) conj(h_kj) over ordered i != k, j != l for each
-    matrix of m (n, n) or (K, n, n), flattened to one row per matrix."""
+def _quadruple_products(m, quarter=False):
+    """h_ij h_kl conj(h_il) conj(h_kj) over _quadruple_indices(n, quarter) for
+    each matrix of m (n, n) or (K, n, n), flattened to one row per matrix."""
     n = m.shape[-1]
-    ij, kl, il, kj = _quadruple_indices(n)
+    ij, kl, il, kj = _quadruple_indices(n, quarter)
     flat = m.reshape(m.shape[:-2] + (n * n,))
     conj = flat.conj()
     # in place, left to right in the docstring's order: the rounding of the
@@ -267,31 +257,15 @@ def _quadruple_products(m):
 
 
 def _quadruple_phases(m):
-    """Unrounded phases in [0, 2pi) of h_ij h_kl conj(h_il) conj(h_kj) over
-    ordered i != k, j != l, unsorted: flat for one matrix (n, n), one row
-    per matrix for a stack (K, n, n). Every matrix must be Hadamard within
-    FINGERPRINT_HADAMARD_TOL."""
+    """Unrounded phases in [0, 2pi) of _quadruple_products(m), unsorted: flat
+    for one matrix (n, n), one row per matrix for a stack (K, n, n). Every
+    matrix must be Hadamard within FINGERPRINT_HADAMARD_TOL."""
     m = _as_square(m, (2, 3))
     _require_fingerprint_input(m)
     theta = np.angle(_quadruple_products(m))
     # np.angle is in [-pi, pi]; this is bitwise `theta % (2 * pi)`, and
     # adding 0.0 turns -0.0 into +0.0 as the remainder does
     return theta + (theta < 0) * (2 * np.pi)
-
-
-def _quarter_directions(m):
-    """The unit directions of the quadruple products over i < k, j < l of a
-    coerced matrix (n, n) or stack (K, n, n), flattened to one row per
-    matrix, as products of the entries' unit directions e = h/|h|:
-    e_ij conj(e_kj) conj(e_il) e_kl, which equals q/|q| for the quadruple
-    product q in exact arithmetic. Unchecked: every matrix must already be
-    Hadamard within FINGERPRINT_HADAMARD_TOL, so no entry is near zero."""
-    i, k = _upper_pairs(m.shape[-1])
-    e = m / np.abs(m)
-    # rows[..., ik, j] = e_ij conj(e_kj), one row per row pair i < k
-    rows = e[..., i, :] * e.conj()[..., k, :]
-    q = rows[..., i] * rows.conj()[..., k]
-    return q.reshape(m.shape[:-2] + (-1,))
 
 
 def _rounded_sorted(theta, precision):

@@ -27,7 +27,7 @@ from .core import (
     _check_tol,
     _dephased,
     _hadamard_within,
-    _quarter_directions,
+    _quadruple_products,
     _require_fingerprint_input,
     apply_equivalence,
 )
@@ -65,21 +65,16 @@ def fingerprint_match(h1, h2, precision=FINGERPRINT_PRECISION, tol=DEFAULT_TOL):
     r >= 1. 10**-precision covers float noise and the O(1e-7) factor, so
     every pair the enumeration would accept passes.
 
-    Only the quarter i < k, j < l is computed, as unit directions
-    u = q/|q|. Swapping i with k maps q to conj(q), swapping j with l
-    likewise, and swapping both fixes q, so the ordered multiset is
-    {q, q, conj(q), conj(q)} over the quarter. Its sorted cosines are
-    sorted Re(u) with each value four times, and its sorted sines are
-    sorted concat(Im(u), -Im(u)) with each value twice, a list symmetric
-    about 0 whose gaps are those of sorted |Im(u)|. The largest gaps are
-    therefore those of sorted Re(u) and sorted |Im(u)|, the numbers the
-    ordered multiset gives, in exact arithmetic.
-
-    Each u is formed as a product of the entries' unit directions,
-    e_ij conj(e_kj) conj(e_il) e_kl with e = h/|h|, not by dividing q by
-    |q|. In exact arithmetic the two are equal; in floating point they
-    differ by a few ulps, which 10**-precision covers with the rest of the
-    float noise.
+    Only the quarter i < k, j < l is computed, by the fingerprint's kernel
+    on the entries' unit directions e = h/|h|: u = e_ij e_kl conj(e_il)
+    conj(e_kj), which equals q/|q| in exact arithmetic and differs from it
+    by a few ulps, inside 10**-precision, in floating point. Swapping i with
+    k maps q to conj(q), swapping j with l likewise, and swapping both fixes
+    q, so the ordered multiset is {q, q, conj(q), conj(q)} over the quarter.
+    Its sorted cosines are sorted Re(u) with each value four times, and its
+    sorted sines are sorted concat(Im(u), -Im(u)) with each value twice, a
+    list symmetric about 0 whose gaps are those of sorted |Im(u)|. The
+    largest gaps are therefore those of sorted Re(u) and sorted |Im(u)|.
     """
     _check_tol(tol)
     _check_precision(precision)
@@ -93,7 +88,7 @@ def _directions_match(pair, precision, tol):
     are sorted only when the cosines match."""
     r = 40.0 * tol
     margin = 10.0**-precision + r * (1.0 + r)
-    u = _quarter_directions(pair)
+    u = _quadruple_products(pair / np.abs(pair), quarter=True)
     return all(
         np.abs(np.subtract(*np.sort(part(u), axis=-1))).max(initial=0.0) <= margin
         for part in (np.real, lambda z: np.abs(z.imag))

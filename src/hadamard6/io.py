@@ -52,8 +52,18 @@ def matrix_from_obj(obj):
     return m
 
 
-def _finite(entries):
-    a = np.array(entries, dtype=float)
+def _numbers(items, kind=float):
+    """A JSON list as a tuple of kind; its entries must be ints, or for float
+    ints or floats. A boolean, a string or anything else is a ValueError."""
+    if not isinstance(items, (list, tuple)) or not all(
+        isinstance(v, (int, kind)) and not isinstance(v, bool) for v in items
+    ):
+        raise ValueError(f"list entries must be {'integers' if kind is int else 'numbers'}")
+    return tuple(map(kind, items))
+
+
+def _finite(rows):
+    a = np.array([_numbers(row) for row in rows])
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
@@ -82,13 +92,14 @@ def witness_to_obj(w):
 
 def witness_from_obj(obj):
     def phases(d):
-        return tuple(complex(r, i) for r, i in zip(d["re"], d["im"], strict=True))
+        re, im = _numbers(d["re"]), _numbers(d["im"])
+        return tuple(complex(r, i) for r, i in zip(re, im, strict=True))
 
     with wrong_shape("witness object"):
         return EquivalenceWitness(
-            tuple(obj["row_perm"]),
+            _numbers(obj["row_perm"], int),
             phases(obj["row_phases"]),
-            tuple(obj["col_perm"]),
+            _numbers(obj["col_perm"], int),
             phases(obj["col_phases"]),
         )
 

@@ -396,6 +396,10 @@ def test_compose12_malformed_spec(tmp_path, capsys):
         dict(good, h1=5),
         [1, 2],
         dict(good, deltas=[10**400] * 5),  # an integer too large for a float
+        # a string was read digit by digit, and booleans as 1.0 and 0.0
+        dict(good, h1={"family": "f6", "params": "12"}),
+        dict(good, deltas="12345"),
+        dict(good, h1={"family": "f6", "params": [True, False]}),
     ):
         path.write_text(json.dumps(spec))
         assert run(capsys, "compose12", "--spec", str(path)) == (1, "", "ValueError\n")
@@ -447,6 +451,11 @@ def test_nan_entry_rejected(tmp_path, capsys):
         '{"n": [6], "re": [[1]], "im": [[0]]}',
         '{"n": 1, "re": {"a": 1}, "im": [[0]]}',
         '{"n": 1e999, "re": [[1]], "im": [[0]]}',
+        # booleans and strings were read as the numbers they convert to
+        '{"n": 1, "re": [[true]], "im": [[false]]}',
+        '{"n": 1, "re": [["1"]], "im": [["0"]]}',
+        '{"n": 1, "phase_turns": [[true]]}',
+        '{"n": 1, "phase_turns": [["0"]]}',
     ):
         path.write_text(text)
         for verb in ("verify", "dephase", "fingerprint", "classify"):

@@ -302,8 +302,11 @@ _WITNESS_OBJ = io.witness_to_obj(EquivalenceWitness.identity(6))
         {k: v for k, v in _WITNESS_OBJ.items() if k != "col_phases"},
         # 7 real parts against 6 imaginary parts were cut to 6 phases
         dict(_WITNESS_OBJ, row_phases={"re": [1.0] * 7, "im": [0.0] * 6}),
+        # booleans were read as the integers and floats they convert to
+        dict(_WITNESS_OBJ, row_perm=[True, False, 2, 3, 4, 5]),
+        dict(_WITNESS_OBJ, row_phases={"re": [True] * 6, "im": [False] * 6}),
     ],
-    ids=["empty", "list", "no_col_phases", "seven_re_six_im"],
+    ids=["empty", "list", "no_col_phases", "seven_re_six_im", "perm_bools", "phase_bools"],
 )
 def test_witness_obj_malformed(obj):
     with pytest.raises(ValueError):
@@ -410,9 +413,10 @@ def test_dephase_canonical_within_phasing_orbit(seed):
 
 @pytest.mark.float_bits
 def test_quadruple_phases_bits_pinned():
-    # the screen compares raw phases, whose last bits follow the multiply
-    # order of _quadruple_phases (h_ij h_kl conj(h_il) conj(h_kj), left to
-    # right); the rounded fingerprints do not show a change of that order
+    # the raw phases' last bits follow the multiply order of the one
+    # quadruple kernel (h_ij h_kl conj(h_il) conj(h_kj), left to right),
+    # which the screen also runs on entry directions; the rounded
+    # fingerprints do not show a change of that order
     pinned = {
         (fourier_f6, (0.4, 0.9)): "4610a54178a14ed4978dc395329a7bab7809a09e85e9ada3b2e0ac0592c42f1e",
         (dita_d6, (0.3,)): "4582e152641034fde69d9c157b4dd15ec9ae29e531c5a846ec72c13d52de7a52",

@@ -32,7 +32,7 @@ from hadamard6.core import (
     FINGERPRINT_PRECISION,
     _anchored_forms,
     _quadruple_phases,
-    _quarter_directions,
+    _quadruple_products,
 )
 from hadamard6.errors import SingularZ
 from hadamard6.families import FAMILIES
@@ -319,9 +319,10 @@ def _f4(a):
 
 
 def test_quarter_directions_match_index_oracle():
-    # the screen's products of entry directions against q / |q| from the
-    # index tables: members of every tag and their images, order-12
-    # compositions, and orders 1, 2 and 4, whose quarter at n = 1 is empty
+    # the screen's directions, the one kernel's quarter products of entry
+    # directions, against q / |q| from the index tables: members of every
+    # tag and their images, order-12 compositions, and orders 1, 2 and 4,
+    # whose quarter at n = 1 is empty
     rng = np.random.default_rng(29)
     mats = []
     for tag, params in PINNED_MEMBERS.items():
@@ -331,17 +332,27 @@ def test_quarter_directions_match_index_oracle():
     mats += [np.ones((1, 1), dtype=complex), _fourier(2), _fourier(4)]
     for h in mats:
         n = h.shape[0]
-        u = _quarter_directions(h)
+        u = _quadruple_products(h / np.abs(h), quarter=True)
         assert u.shape == ((n * (n - 1) // 2) ** 2,)
         got = np.sort(u.real), np.sort(np.abs(u.imag))
         for a, b in zip(got, _index_quarter(h)):
             assert a.shape == b.shape
             assert np.abs(a - b).max(initial=0.0) <= 1e-14
-        # a stack gives each matrix's directions bit for bit
+        # a stack gives each matrix's products bit for bit: over the ordered
+        # pairs of the entries, as the fingerprint takes them, at every
+        # order, and over the quarter of the entry directions, as the screen
+        # takes them, except at order 2. There numpy multiplies the one
+        # product per matrix in its scalar loop unstacked and in its SIMD
+        # loop stacked, so the last bits can differ
         image = apply_equivalence(h, random_witness(n, rng))
-        stacked = _quarter_directions(np.stack((h, image)))
-        assert stacked[0].tobytes() == u.tobytes()
-        assert stacked[1].tobytes() == _quarter_directions(image).tobytes()
+        pair = np.stack((h, image))
+        checks = [(pair, False)]
+        if n != 2:
+            checks.append((pair / np.abs(pair), True))
+        for m, quarter in checks:
+            stacked = _quadruple_products(m, quarter)
+            for k in range(2):
+                assert stacked[k].tobytes() == _quadruple_products(m[k], quarter).tobytes()
 
 
 def test_screen_matches_ordered_oracle_small_orders():
