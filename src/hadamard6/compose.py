@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, _as_pair, _hadamard_within
-from .errors import NotHadamard, UnknownFamily
+from .core import DEFAULT_TOL, _as_pair, _require_hadamard
+from .errors import UnknownFamily
 from .families import FAMILIES
 from .io import _numbers, wrong_shape
 
@@ -73,8 +73,5 @@ def compose12(spec):
     """Build the order-12 Hadamard matrix described by a ComposeSpec."""
     h1 = _build(spec.family1, spec.params1)
     h2 = _build(spec.family2, spec.params2)
-    pair = np.stack(_as_pair(h1, h2))
-    if not _hadamard_within(pair, DEFAULT_TOL):
-        name = "h2" if _hadamard_within(pair[0], DEFAULT_TOL) else "h1"
-        raise NotHadamard(f"{name} is not Hadamard within {DEFAULT_TOL}")
+    _require_hadamard(_as_pair(h1, h2), DEFAULT_TOL, ("h1", "h2"))
     return block_compose(h1, h2, spec.deltas)

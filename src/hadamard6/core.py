@@ -35,12 +35,12 @@ def as_matrix(m):
 
 
 def _as_pair(h1, h2):
-    """Coerce two matrices with as_matrix; DimensionMismatch unless their
-    orders agree."""
+    """Two matrices coerced with as_matrix, as one stack (2, n, n);
+    DimensionMismatch unless their orders agree."""
     h1, h2 = as_matrix(h1), as_matrix(h2)
     if h1.shape != h2.shape:
         raise DimensionMismatch(f"orders differ: {h1.shape[0]} vs {h2.shape[0]}")
-    return h1, h2
+    return np.stack((h1, h2))
 
 
 # The two defects of a coerced matrix (n, n) or stack (K, n, n), reduced over
@@ -63,6 +63,15 @@ def _hadamard_within(m, tol):
     """Every matrix of m within tol of Hadamard; the unitarity defect, whose
     product can overflow, is taken only once every modulus passes."""
     return bool((_modulus_defects(m) <= tol).all() and (_unitarity_defects(m) <= tol).all())
+
+
+def _require_hadamard(m, tol, names=("matrix",)):
+    """NotHadamard unless every matrix of a coerced m, (n, n) or a stack
+    (K, n, n), is Hadamard within tol; the message names the first that
+    fails, names[k] for m[k], or the last name once the others pass."""
+    if not _hadamard_within(m, tol):
+        name = next((k for k, x in zip(names[:-1], m) if not _hadamard_within(x, tol)), names[-1])
+        raise NotHadamard(f"{name} is not Hadamard within {tol}")
 
 
 def modulus_defect(m):
@@ -117,8 +126,11 @@ class EquivalenceWitness:
     def __post_init__(self):
         n = len(self.row_perm)
         try:
-            object.__setattr__(self, "row_perm", tuple(map(operator.index, self.row_perm)))
-            object.__setattr__(self, "col_perm", tuple(map(operator.index, self.col_perm)))
+            for name in ("row_perm", "col_perm"):
+                perm = getattr(self, name)
+                if any(isinstance(i, bool) for i in perm):  # an int, but no index
+                    raise TypeError
+                object.__setattr__(self, name, tuple(map(operator.index, perm)))
         except TypeError:
             raise ValueError("permutation entries must be integers") from None
         object.__setattr__(self, "row_phases", tuple(complex(p) for p in self.row_phases))
@@ -231,13 +243,6 @@ def _quadruple_indices(n, quarter=False):
     return idx
 
 
-def _require_fingerprint_input(m):
-    if not _hadamard_within(m, FINGERPRINT_HADAMARD_TOL):
-        raise NotHadamard(
-            f"fingerprint needs a Hadamard matrix within {FINGERPRINT_HADAMARD_TOL}"
-        )
-
-
 def _quadruple_products(m, quarter=False):
     """h_ij h_kl conj(h_il) conj(h_kj) over _quadruple_indices(n, quarter) for
     each matrix of m (n, n) or (K, n, n), flattened to one row per matrix."""
@@ -258,10 +263,9 @@ def _quadruple_products(m, quarter=False):
 
 def _quadruple_phases(m):
     """Unrounded phases in [0, 2pi) of _quadruple_products(m), unsorted: flat
-    for one matrix (n, n), one row per matrix for a stack (K, n, n). Every
-    matrix must be Hadamard within FINGERPRINT_HADAMARD_TOL."""
-    m = _as_square(m, (2, 3))
-    _require_fingerprint_input(m)
+    for one coerced matrix (n, n), one row per matrix for a stack (K, n, n).
+    Every matrix must be Hadamard within FINGERPRINT_HADAMARD_TOL."""
+    _require_hadamard(m, FINGERPRINT_HADAMARD_TOL)
     theta = np.angle(_quadruple_products(m))
     # np.angle is in [-pi, pi]; this is bitwise `theta % (2 * pi)`, and
     # adding 0.0 turns -0.0 into +0.0 as the remainder does
@@ -284,9 +288,10 @@ def fingerprint(m, precision=FINGERPRINT_PRECISION):
     Ordered index pairs (rather than i<k, j<l) make the multiset exactly
     invariant under every row/column permutation and diagonal phase change:
     those moves biject the ordered quadruples and cancel in the product.
-    The phases are rounded to precision decimals, from -308 to 307.
+    The phases are rounded to precision decimals, from -308 to 307. m is
+    one matrix; fingerprint_distances takes a stack.
     """
-    return Fingerprint(_rounded_sorted(_quadruple_phases(m), precision), int(precision))
+    return Fingerprint(_rounded_sorted(_quadruple_phases(as_matrix(m)), precision), int(precision))
 
 
 def fingerprint_distances(stack, fq):

@@ -28,10 +28,10 @@ from .core import (
     _dephased,
     _hadamard_within,
     _quadruple_products,
-    _require_fingerprint_input,
+    _require_hadamard,
     apply_equivalence,
 )
-from .errors import NotHadamard, OrderUnsupported
+from .errors import OrderUnsupported
 
 # the 720 permutations in lexicographic order, as six blocks of 120:
 # _PERMS6[a] holds those that map 0 to a
@@ -78,8 +78,8 @@ def fingerprint_match(h1, h2, precision=FINGERPRINT_PRECISION, tol=DEFAULT_TOL):
     """
     _check_tol(tol)
     _check_precision(precision)
-    pair = np.stack(_as_pair(h1, h2))
-    _require_fingerprint_input(pair)
+    pair = _as_pair(h1, h2)
+    _require_hadamard(pair, FINGERPRINT_HADAMARD_TOL, ("first matrix", "second matrix"))
     return _directions_match(pair, precision, tol)
 
 
@@ -138,15 +138,12 @@ def are_equivalent(h1, h2, tol=DEFAULT_TOL, screen=True):
     raw enumeration), then exhaustive search returning a verifying witness.
     Order 12: screening only; matching fingerprints are inconclusive.
     """
-    h1, h2 = _as_pair(h1, h2)
-    n = h1.shape[0]
+    pair = _as_pair(h1, h2)
+    n = pair.shape[-1]
     if n not in (6, 12):
         raise OrderUnsupported(f"equivalence decisions support n in (6, 12), got {n}")
     _check_tol(tol)
-    pair = np.stack((h1, h2))
-    if not _hadamard_within(pair, tol):
-        name = "second" if _hadamard_within(h1, tol) else "first"
-        raise NotHadamard(f"{name} matrix is not Hadamard within {tol}")
+    _require_hadamard(pair, tol, ("first matrix", "second matrix"))
 
     # inputs Hadamard within tol <= FINGERPRINT_HADAMARD_TOL pass the screen's gate
     screened = screen and (
@@ -162,7 +159,7 @@ def are_equivalent(h1, h2, tol=DEFAULT_TOL, screen=True):
         why = "fingerprint match is necessary but not sufficient" if screened else unsupported
         return EquivalenceResult("inconclusive", screened_by=why)
 
-    w = _exhaustive_witness(h1, h2, tol)
+    w = _exhaustive_witness(*pair, tol)
     if w is None:
         return EquivalenceResult("inequivalent")
     return EquivalenceResult("equivalent", witness=w)

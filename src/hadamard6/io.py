@@ -52,14 +52,14 @@ def matrix_from_obj(obj):
     return m
 
 
-def _numbers(items, kind=float):
-    """A JSON list as a tuple of kind; its entries must be ints, or for float
-    ints or floats. A boolean, a string or anything else is a ValueError."""
+def _numbers(items):
+    """A JSON list as a tuple of floats; its entries must be ints or floats.
+    A boolean, a string or anything else is a ValueError."""
     if not isinstance(items, (list, tuple)) or not all(
-        isinstance(v, (int, kind)) and not isinstance(v, bool) for v in items
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in items
     ):
-        raise ValueError(f"list entries must be {'integers' if kind is int else 'numbers'}")
-    return tuple(map(kind, items))
+        raise ValueError("list entries must be numbers")
+    return tuple(map(float, items))
 
 
 def _finite(rows):
@@ -95,12 +95,10 @@ def witness_from_obj(obj):
         re, im = _numbers(d["re"]), _numbers(d["im"])
         return tuple(complex(r, i) for r, i in zip(re, im, strict=True))
 
+    # EquivalenceWitness checks the permutation entries
     with wrong_shape("witness object"):
         return EquivalenceWitness(
-            _numbers(obj["row_perm"], int),
-            phases(obj["row_phases"]),
-            _numbers(obj["col_perm"], int),
-            phases(obj["col_phases"]),
+            obj["row_perm"], phases(obj["row_phases"]), obj["col_perm"], phases(obj["col_phases"])
         )
 
 

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .core import FINGERPRINT_HADAMARD_TOL, _anchored_forms, _check_tol, as_matrix, fingerprint
-from .core import fingerprint_distances, is_hadamard, modulus_defect, unitarity_defect
+from .core import fingerprint_distances, modulus_defect, unitarity_defect
 from .equivalence import are_equivalent
 from .errors import NotHadamard, OrderUnsupported, SingularZ
 from .families import FAMILIES, _fourier_canonical, dita_d6, family_h, fourier_f6
@@ -218,16 +218,14 @@ def classify(h, grid_n=24):
     h = as_matrix(h)
     if h.shape[0] != 6:
         raise OrderUnsupported("classification is order-6 only")
-    tol = FINGERPRINT_HADAMARD_TOL
-    if not is_hadamard(h, tol):
-        raise NotHadamard(f"classify needs a Hadamard matrix within {tol}")
+    # fingerprint's gate is the one classify needs
     fq = fingerprint(h, CLASSIFY_PRECISION)
     cells = _pi_cells(h)
     for label, read_off, build in _STAGES:
         for p in read_off(*cells):
             try:
                 member = build(*p)
-                result = are_equivalent(h, member, tol=tol)
+                result = are_equivalent(h, member, tol=FINGERPRINT_HADAMARD_TOL)
             except (SingularZ, NotHadamard):
                 continue
             if result.decision == "equivalent":

@@ -94,6 +94,10 @@ def test_is_hadamard_rejects_non_finite_tol():
 def test_non_square_rejected():
     with pytest.raises(DimensionMismatch):
         modulus_defect(np.ones((2, 3)))
+    # fingerprint takes one matrix; fingerprint_distances takes a stack
+    h = family_h(0.37, 0.21)
+    with pytest.raises(DimensionMismatch):
+        fingerprint(np.stack([h, h]))
 
 
 def test_dagger_transpose():
@@ -112,6 +116,9 @@ def test_witness_validation():
     # a non-integer entry is refused, not truncated to the identity
     with pytest.raises(ValueError, match="must be integers"):
         EquivalenceWitness((0, 1.9, 2, 3, 4, 5), (1,) * 6, tuple(range(6)), (1,) * 6)
+    # a bool is an int to operator.index, but not a permutation entry
+    with pytest.raises(ValueError, match="must be integers"):
+        EquivalenceWitness((True, False, 2, 3, 4, 5), (1,) * 6, tuple(range(6)), (1,) * 6)
     obj = io.witness_to_obj(EquivalenceWitness.identity(6))
     obj["row_perm"] = [0, 1.5, 2, 3, 4, 5]
     with pytest.raises(ValueError, match="must be integers"):

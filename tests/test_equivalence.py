@@ -391,6 +391,9 @@ def test_gate_names_the_failing_matrix():
                     are_equivalent(h1, h2)
     with pytest.raises(NotHadamard, match="^second matrix is not Hadamard within 1e-08$"):
         are_equivalent(f6, f6 * (1 + 1e-6), tol=1e-8)
+    # fingerprint_match gates at FINGERPRINT_HADAMARD_TOL and names the same way
+    with pytest.raises(NotHadamard, match="^second matrix is not Hadamard within 1e-08$"):
+        fingerprint_match(f6, np.eye(6))
 
 
 @pytest.mark.float_bits

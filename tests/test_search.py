@@ -202,6 +202,12 @@ def test_classify_panel():
 def test_classify_guards():
     with pytest.raises(NotHadamard):
         classify(np.eye(6, dtype=complex))
+    # fingerprint's gate at FINGERPRINT_HADAMARD_TOL = 1e-8 is classify's: a
+    # modulus defect of 2e-8 fails it, one of 2e-9 passes
+    h = family_h(0.37, 0.21)
+    with pytest.raises(NotHadamard):
+        classify(h * (1 + 2e-8))
+    assert classify(h * (1 + 2e-9)).label == "H-family"
     with pytest.raises(OrderUnsupported):
         classify(np.array([[1, 1], [1, -1]], dtype=complex))
 
