@@ -11,10 +11,10 @@ import numpy as np
 
 from . import io
 from .compose import ComposeSpec, compose12
-from .core import DEFAULT_TOL, FINGERPRINT_HADAMARD_TOL, FINGERPRINT_PRECISION, dephase
+from .core import DEFAULT_TOL, FINGERPRINT_PRECISION, dephase
 from .core import fingerprint, is_hadamard, modulus_defect, unitarity_defect
 from .equivalence import are_equivalent
-from .errors import HadamardError, MaxIterExceeded, SingularZ
+from .errors import HadamardError, MaxIterExceeded, NotHadamard, SingularZ
 from .families import FAMILIES, family_h
 from .search import SearchConfig, classify, project_search
 
@@ -94,16 +94,16 @@ def _cmd_scan(args):
     return "\n".join(lines) + "\n"
 
 
-def _search_record(result):
-    ok = is_hadamard(result.matrix, FINGERPRINT_HADAMARD_TOL)  # as classify requires
-    return dict(vars(result), classification=classify(result.matrix) if ok else None)
-
-
 def _cmd_search(args):
     records = []
     for i in range(args.runs):
         cfg = SearchConfig(rng_seed=args.seed + i, tol=args.tol, max_iter=args.max_iter)
-        records.append(_search_record(project_search(cfg)))
+        result = project_search(cfg)
+        try:  # classify's own gate decides which records get a classification
+            classification = classify(result.matrix)
+        except NotHadamard:
+            classification = None
+        records.append(dict(vars(result), classification=classification))
     obj = records[0] if args.runs == 1 else records
     if not all(r["converged"] for r in records):
         io.emit(obj, args.out)  # the records are written before the failure exit
@@ -112,7 +112,7 @@ def _cmd_search(args):
 
 
 def _cmd_classify(args):
-    return classify(io.read_matrix(args.infile), grid_n=args.grid)
+    return classify(io.read_matrix(args.infile))
 
 
 def _cmd_compose12(args):

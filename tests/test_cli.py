@@ -262,6 +262,11 @@ def test_search_single_run(capsys):
     m = io.matrix_from_obj(obj["matrix"])
     assert is_hadamard(m, 1e-7)
     assert obj["classification"]["label"] in ("F6-slice", "F6T-slice", "H-family", "D6", "unknown")
+    # converged at --tol 1e-6 (final_defect 6.05e-7), but classify's gate at
+    # 1e-8 refuses the matrix, so the record carries no classification
+    code, out, err = run(capsys, "search", "--seed", "0", "--tol", "1e-6")
+    obj = json.loads(out)
+    assert (code, err, obj["converged"], obj["classification"]) == (0, "", True, None)
 
 
 def test_search_near_pi_output(capsys):
@@ -284,6 +289,13 @@ def test_search_nonconvergence_exit(capsys):
     assert "MaxIterExceeded" in err
     obj = json.loads(out)  # output still emitted before the failure exit
     assert obj["converged"] is False
+    assert obj["classification"] is None
+    # not converged at --tol 1e-16 (final_defect 4.4e-16), yet within
+    # classify's gate at 1e-8, so the record is classified
+    code, out, err = run(capsys, "search", "--seed", "0", "--tol", "1e-16", "--max-iter", "300")
+    obj = json.loads(out)
+    assert (code, err, obj["converged"]) == (1, "MaxIterExceeded\n", False)
+    assert obj["classification"]["label"] == "unknown"
 
 
 def test_search_runs_array(capsys):
@@ -490,7 +502,7 @@ def test_precision_and_n_out_of_contract(tmp_path, capsys):
 
 
 def test_search_runs_must_be_positive(capsys):
-    for runs in ("0", "-1"):
+    for runs in ("0", "-1", "abc"):
         code, out, _ = run(capsys, "search", "--runs", runs)
         assert (code, out) == (2, "")
     code, out, _ = run(capsys, "search", "--max-iter", "0")
@@ -498,7 +510,7 @@ def test_search_runs_must_be_positive(capsys):
 
 
 def test_scan_grid_must_be_positive(capsys):
-    for grid in ("0", "-3"):
+    for grid in ("0", "-3", "1.5"):
         code, out, _ = run(capsys, "scan", "--grid", grid)
         assert (code, out) == (2, "")
 

@@ -209,6 +209,8 @@ def test_fingerprint_distance():
     assert abs(d - sum(abs(x - y) for x, y in zip(a.values, b.values))) < 1e-9
     with pytest.raises(ValueError):
         a.distance(Fingerprint(b.values, rounding=8))
+    with pytest.raises(DimensionMismatch):  # order 6 against order 2
+        a.distance(fingerprint(np.array([[1, 1], [1, -1]]), 6))
 
 
 def test_fingerprint_contract():
@@ -259,6 +261,8 @@ def test_fingerprint_precision_out_of_range():
                 fingerprint(h2, precision)
         with pytest.raises(ValueError):
             fingerprint_distances(np.stack([h2]), Fingerprint((0.0,) * 4, rounding=400))
+    with pytest.raises(DimensionMismatch):  # an order-2 stack against order 6
+        fingerprint_distances(np.stack([h2]), fingerprint(F0))
 
 
 def test_matrix_json_roundtrip():
