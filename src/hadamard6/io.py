@@ -12,6 +12,7 @@ as a witness's row_phases, is {"re": [...], "im": [...]}.
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -39,13 +40,11 @@ def matrix_to_obj(m):
 
 def matrix_from_obj(obj):
     with wrong_shape("matrix object"):
-        n = obj["n"]
-        if isinstance(n, (str, bool)) or n != int(n):
-            raise ValueError(f"matrix object 'n' must be an integer, got {n!r}")
+        (n,) = _numbers([obj["n"]])  # a non-integral n fails the shape check below
         if "phase_turns" in obj:
-            m = np.exp(2j * np.pi * _finite(obj["phase_turns"]))
+            m = np.exp(2j * np.pi * _rows(obj["phase_turns"]))
         else:
-            m = _finite(obj["re"]) + 1j * _finite(obj["im"])
+            m = _rows(obj["re"]) + 1j * _rows(obj["im"])
     m = as_matrix(m)
     if m.shape[0] != n:
         raise ValueError(f"declared n={n} but entries are {m.shape[0]}x{m.shape[1]}")
@@ -53,20 +52,18 @@ def matrix_from_obj(obj):
 
 
 def _numbers(items):
-    """A JSON list as a tuple of floats; its entries must be ints or floats.
-    A boolean, a string or anything else is a ValueError."""
+    """A JSON list as a tuple of floats, by the one rule for a number a file
+    holds: an int or a float, not a bool, and finite, else a ValueError."""
     if not isinstance(items, (list, tuple)) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in items
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        for v in items
     ):
-        raise ValueError("list entries must be numbers")
+        raise ValueError("list entries must be finite numbers")
     return tuple(map(float, items))
 
 
-def _finite(rows):
-    a = np.array([_numbers(row) for row in rows])
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return a
+def _rows(rows):
+    return np.array([_numbers(row) for row in rows])
 
 
 def to_obj(x):

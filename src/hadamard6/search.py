@@ -203,7 +203,9 @@ def classify(h, grid_n=24):
     confirmed in read-off order by exact equivalence at
     FINGERPRINT_HADAMARD_TOL, the tolerance inputs must meet; the first
     confirmed member gives the label, its canonical parameters and its
-    fingerprint distance. grid_n is accepted and unused.
+    fingerprint distance. grid_n is accepted and unused. Candidates closer
+    together than that tolerance can each confirm, and the first is reported:
+    D6 (0.0,) for dita_d6(1e-8), a = 0.0 for an image of fourier_f6(1.0, 1e-8).
 
     `unknown` is a proof that the input is equivalent to no member of the
     four families. An input equivalent to a member has the image of the

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import warnings
 
 import numpy as np
@@ -441,13 +442,16 @@ def test_deeply_nested_json(tmp_path, capsys):
 
 def test_compose12_wrong_param_count(tmp_path, capsys):
     spec = {
-        "h1": {"family": "f6", "params": [0.1]},
+        "h1": {"family": "f6", "params": "PARAMS"},
         "h2": {"family": "h", "params": [0.3, 0.2]},
         "deltas": [0.1, 0.2, 0.3, 0.4, 0.5],
     }
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
-    assert run(capsys, "compose12", "--spec", str(path)) == (1, "", "ValueError\n")
+    # one parameter too few; a NaN, and 1e999 (read as infinity), reached the
+    # builder and exited with NotHadamard and FloatingPointError
+    for params in ("[0.1]", "[NaN, 0.2]", "[1e999, 0.2]"):
+        path.write_text(json.dumps(spec).replace('"PARAMS"', params))
+        assert run(capsys, "compose12", "--spec", str(path)) == (1, "", "ValueError\n")
 
 
 def test_nan_entry_rejected(tmp_path, capsys):
@@ -573,7 +577,12 @@ _member = _with_spoiled(
     st.fixed_dictionaries(
         {
             "family": st.sampled_from(["f6", "h", "d6"]),
-            "params": st.lists(_finite, min_size=2, max_size=2),
+            # NaN and the infinities on their own too: st.floats() seldom draws them
+            "params": st.lists(
+                _finite | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]),
+                min_size=2,
+                max_size=2,
+            ),
         }
     )
 )
@@ -634,7 +643,31 @@ def _assert_named_error(code, out, err):
         assert err in _ERROR_LINES
 
 
+def _holds_nonfinite_number(spec):
+    """Whether a spec's params or deltas list holds a NaN or an infinity,
+    which the one number rule refuses before any family is built."""
+    try:
+        lists = (spec["h1"]["params"], spec["h2"]["params"], spec["deltas"])
+    except (KeyError, TypeError):
+        return False
+    return any(
+        isinstance(v, float) and not math.isfinite(v)
+        for items in lists
+        if isinstance(items, list)
+        for v in items
+    )
+
+
 @given(matrix=_matrices, spec=_specs)
+# an infinite parameter reached the builder; draws can miss non-finite numbers
+@example(
+    matrix={"n": 1, "re": [[1]], "im": [[0]]},
+    spec={
+        "h1": {"family": "f6", "params": [0.1, 0.2]},
+        "h2": {"family": "h", "params": [0.3, math.inf]},
+        "deltas": [0.1, 0.2, 0.3, 0.4, 0.5],
+    },
+)
 @settings(
     max_examples=100,
     deadline=None,
@@ -648,4 +681,7 @@ def test_error_exit_names_the_error(tmp_path, capsys, matrix, spec):
     for argv in _matrix_readers(path):
         _assert_named_error(*run(capsys, *argv))
     path.write_text(json.dumps(spec))
-    _assert_named_error(*run(capsys, "compose12", "--spec", str(path)))
+    result = run(capsys, "compose12", "--spec", str(path))
+    if _holds_nonfinite_number(spec):
+        assert result == (1, "", "ValueError\n")
+    _assert_named_error(*result)

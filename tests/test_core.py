@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import pickle
 import warnings
@@ -303,6 +304,10 @@ def test_witness_json_roundtrip(rng):
 
 
 _WITNESS_OBJ = io.witness_to_obj(EquivalenceWitness.identity(6))
+# NaN and infinite phase parts as a file holds them; they were read as the
+# phases (nan+0j) and (1+infj)
+_NAN_PHASES = json.loads('{"re": [NaN, 1, 1, 1, 1, 1], "im": [0, 0, 0, 0, 0, 0]}')
+_INF_PHASES = json.loads('{"re": [1, 1, 1, 1, 1, 1], "im": [0, 0, 0, 0, 0, Infinity]}')
 
 
 @pytest.mark.parametrize(
@@ -316,8 +321,19 @@ _WITNESS_OBJ = io.witness_to_obj(EquivalenceWitness.identity(6))
         # booleans were read as the integers and floats they convert to
         dict(_WITNESS_OBJ, row_perm=[True, False, 2, 3, 4, 5]),
         dict(_WITNESS_OBJ, row_phases={"re": [True] * 6, "im": [False] * 6}),
+        dict(_WITNESS_OBJ, row_phases=_NAN_PHASES),
+        dict(_WITNESS_OBJ, col_phases=_INF_PHASES),
     ],
-    ids=["empty", "list", "no_col_phases", "seven_re_six_im", "perm_bools", "phase_bools"],
+    ids=[
+        "empty",
+        "list",
+        "no_col_phases",
+        "seven_re_six_im",
+        "perm_bools",
+        "phase_bools",
+        "nan_phase",
+        "inf_phase",
+    ],
 )
 def test_witness_obj_malformed(obj):
     with pytest.raises(ValueError):

@@ -486,4 +486,17 @@ def test_enumeration_matches_loop_oracle():
             got = equivalence._exhaustive_witness(h1, h2, tol)
             assert got == want
             seen.add(want is None)
+            if want is not None:
+                _assert_rows_match_alone(h1, h2, want, tol)
     assert seen == {True, False}
+
+
+def _assert_rows_match_alone(h1, h2, w, tol):
+    # the premise of matching whole rows: at the witness's anchor, each row of
+    # h1's column-permuted form is within 10 tol of exactly one row of the
+    # dephased target, the one the witness's row permutation sends it to
+    sigma, cp = np.array(w.row_perm), np.array(w.col_perm)
+    form = _anchored_forms(h1)[sigma[0], cp[0]][:, cp]
+    h2d, _ = dephase(h2)
+    near = np.abs(h2d[:, None, :] - form[None, :, :]).max(axis=-1) <= 10.0 * tol
+    assert (near == (sigma[:, None] == np.arange(6))).all()
