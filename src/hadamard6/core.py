@@ -8,7 +8,7 @@ within t.
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,13 +34,13 @@ def as_matrix(m):
     return _as_square(m, (2,))
 
 
-def _as_pair(h1, h2):
-    """Two matrices coerced with as_matrix, as one stack (2, n, n);
+def _as_stack(*ms):
+    """One or two matrices coerced with as_matrix, as one stack (K, n, n);
     DimensionMismatch unless their orders agree."""
-    h1, h2 = as_matrix(h1), as_matrix(h2)
-    if h1.shape != h2.shape:
-        raise DimensionMismatch(f"orders differ: {h1.shape[0]} vs {h2.shape[0]}")
-    return np.stack((h1, h2))
+    ms = tuple(map(as_matrix, ms))
+    if ms[0].shape != ms[-1].shape:
+        raise DimensionMismatch(f"orders differ: {ms[0].shape[0]} vs {ms[-1].shape[0]}")
+    return np.stack(ms)
 
 
 # The two defects of a coerced matrix (n, n) or stack (K, n, n), reduced over
@@ -166,10 +166,10 @@ def apply_equivalence(m, w):
 def _anchored_forms(h):
     """h dephased at every anchor (a, b), shape (n, n, n, n): q[a, b, i, j] =
     h_ij h_ab / (h_ib h_aj), whose cells off row a and column b are the
-    quadruple products of h. search._pi_cells reads every anchor, and
-    equivalence._exhaustive_witness sorts every anchor's entries once and
-    reads the anchors that survive, with the columns in each permutation's
-    order."""
+    quadruple products of h. A prepared form holds them: search._pi_cells
+    reads every anchor, and equivalence._exhaustive_witness reads the
+    anchors whose sorted entries survive, with the columns in each
+    permutation's order."""
     return h * h[:, :, None, None] / (h.T[None, :, :, None] * h[:, None, None, :])
 
 
@@ -195,6 +195,62 @@ def dephase(m):
     out, d2, d1 = _dephased(as_matrix(m))
     n = out.shape[0]
     return out, EquivalenceWitness(tuple(range(n)), tuple(d2), tuple(range(n)), tuple(d1))
+
+
+class _Prepared:
+    """Matrices of one order, prepared once: their stack m (K, n, n), a copy
+    that never aliases a caller's array; the least tolerance their gate has
+    passed at, since a pass holds at every larger one; and the parts below,
+    each built the first time it is read. classify prepares its input, and
+    each candidate member, alone; a caller's pair is one stack, so that its
+    gate and its screen each take one pass over both. A decision anchors its
+    first matrix and dephases its second: the first and the last matrix of
+    their stacks."""
+
+    def __init__(self, *ms):
+        self.m = _as_stack(*ms)
+        self.passed = np.inf  # the least tol the gate has passed at
+
+    def within(self, tol):
+        """Every matrix is Hadamard within tol."""
+        if tol < self.passed and _hadamard_within(self.m, tol):
+            self.passed = tol
+        return tol >= self.passed
+
+    def require(self, tol, names=("matrix",)):
+        if not self.within(tol):
+            _require_hadamard(self.m, tol, names)
+
+    @cached_property
+    def forms(self):
+        return _anchored_forms(self.m[0])
+
+    @cached_property
+    def sorted_forms(self):  # the real and imaginary entries of each anchor
+        n = self.m.shape[-1]
+        return [np.sort(part(self.forms).reshape(n, n, n * n)) for part in (np.real, np.imag)]
+
+    @cached_property
+    def dephased(self):
+        return _dephased(self.m[-1])
+
+    @cached_property
+    def units(self):  # the screen's quarter products of the unit entries
+        return _quadruple_products(self.m / np.abs(self.m), quarter=True)
+
+    @cached_property
+    def cosines(self):
+        return np.sort(self.units.real, axis=-1)
+
+    @cached_property
+    def sines(self):
+        return np.sort(np.abs(self.units.imag), axis=-1)
+
+
+def _prepared(*ms):
+    """Prepared forms as given, or matrices prepared as one stack and given
+    once per matrix: (first, second) for a pair, as a decision reads it."""
+    return ms if isinstance(ms[0], _Prepared) else (_Prepared(*ms),) * len(ms)
 
 
 @dataclass(frozen=True)
@@ -263,9 +319,15 @@ def _quadruple_products(m, quarter=False):
 
 def _quadruple_phases(m):
     """Unrounded phases in [0, 2pi) of _quadruple_products(m), unsorted: flat
-    for one coerced matrix (n, n), one row per matrix for a stack (K, n, n).
-    Every matrix must be Hadamard within FINGERPRINT_HADAMARD_TOL."""
-    _require_hadamard(m, FINGERPRINT_HADAMARD_TOL)
+    for one coerced matrix (n, n), one row per matrix for a stack (K, n, n),
+    and flat for a prepared form's first matrix. Every matrix must be Hadamard
+    within FINGERPRINT_HADAMARD_TOL; a prepared form that passed is not gated
+    again."""
+    if isinstance(m, _Prepared):
+        m.require(FINGERPRINT_HADAMARD_TOL)
+        m = m.m[0]
+    else:
+        _require_hadamard(m, FINGERPRINT_HADAMARD_TOL)
     theta = np.angle(_quadruple_products(m))
     # np.angle is in [-pi, pi]; this is bitwise `theta % (2 * pi)`, and
     # adding 0.0 turns -0.0 into +0.0 as the remainder does
@@ -291,7 +353,8 @@ def fingerprint(m, precision=FINGERPRINT_PRECISION):
     The phases are rounded to precision decimals, from -308 to 307. m is
     one matrix; fingerprint_distances takes a stack.
     """
-    return Fingerprint(_rounded_sorted(_quadruple_phases(as_matrix(m)), precision), int(precision))
+    m = m if isinstance(m, _Prepared) else as_matrix(m)
+    return Fingerprint(_rounded_sorted(_quadruple_phases(m), precision), int(precision))
 
 
 def fingerprint_distances(stack, fq):

@@ -21,14 +21,10 @@ from .core import (
     FINGERPRINT_HADAMARD_TOL,
     FINGERPRINT_PRECISION,
     EquivalenceWitness,
-    _anchored_forms,
-    _as_pair,
+    _as_stack,
     _check_precision,
     _check_tol,
-    _dephased,
-    _hadamard_within,
-    _quadruple_products,
-    _require_hadamard,
+    _prepared,
     apply_equivalence,
 )
 from .errors import OrderUnsupported
@@ -36,6 +32,9 @@ from .errors import OrderUnsupported
 # the 720 permutations in lexicographic order, as six blocks of 120:
 # _PERMS6[a] holds those that map 0 to a
 _PERMS6 = np.array(list(permutations(range(6)))).reshape(6, 120, 6)
+# what a failing gate calls the matrices; a pair's one stack passes its gate
+# on the first form's call, and a second form alone is the second matrix
+_NAMES = ("first matrix", "second matrix")
 
 
 @dataclass(frozen=True)
@@ -78,34 +77,35 @@ def fingerprint_match(h1, h2, precision=FINGERPRINT_PRECISION, tol=DEFAULT_TOL):
     """
     _check_tol(tol)
     _check_precision(precision)
-    pair = _as_pair(h1, h2)
-    _require_hadamard(pair, FINGERPRINT_HADAMARD_TOL, ("first matrix", "second matrix"))
-    return _directions_match(pair, precision, tol)
+    first, second = _prepared(h1, h2)
+    first.require(FINGERPRINT_HADAMARD_TOL, _NAMES)
+    second.require(FINGERPRINT_HADAMARD_TOL, _NAMES[1:])
+    return _directions_match(first, second, precision, tol)
 
 
-def _directions_match(pair, precision, tol):
-    """fingerprint_match on a coerced, checked stack (2, n, n); the sines
-    are sorted only when the cosines match."""
+def _directions_match(first, second, precision, tol):
+    """fingerprint_match on gated prepared forms; the sines are sorted only
+    when the cosines match."""
     r = 40.0 * tol
     margin = 10.0**-precision + r * (1.0 + r)
-    u = _quadruple_products(pair / np.abs(pair), quarter=True)
-    return all(
-        np.abs(np.subtract(*np.sort(part(u), axis=-1))).max(initial=0.0) <= margin
-        for part in (np.real, lambda z: np.abs(z.imag))
+    return bool(
+        np.abs(first.cosines[0] - second.cosines[-1]).max(initial=0.0) <= margin
+        and np.abs(first.sines[0] - second.sines[-1]).max(initial=0.0) <= margin
     )
 
 
 def _exhaustive_witness(h1, h2, tol):
     """First witness in (column-outer, row-inner) lexicographic order, or None."""
-    h2d, g2, g1 = _dephased(h2)
+    first, second = _prepared(h1, h2)
+    h1, forms = first.m[0], first.forms
+    h2d, g2, g1 = second.dephased
     atol = 10.0 * tol
-    forms = _anchored_forms(h1)
     # alive[a, b]: the sorted real and imaginary parts of forms[a, b] match
     # h2d's. A column permutation cp only reorders the entries of the form at
     # (a, cp[0]), and sorting is 1-Lipschitz, so a true match survives
     alive = np.ones((6, 6), dtype=bool)
-    for part in (np.real, np.imag):
-        gap = np.sort(part(forms).reshape(6, 6, 36)) - np.sort(part(h2d).ravel())
+    for part, sorted_forms in zip((np.real, np.imag), first.sorted_forms):
+        gap = sorted_forms - np.sort(part(h2d).ravel())
         alive &= np.abs(gap).max(axis=-1) <= atol + 1e-12
     # a column b with no surviving anchor tries none of the cp with cp[0] = b,
     # so a pair with no surviving anchor returns None without a permutation
@@ -138,18 +138,20 @@ def are_equivalent(h1, h2, tol=DEFAULT_TOL, screen=True):
     raw enumeration), then exhaustive search returning a verifying witness.
     Order 12: screening only; matching fingerprints are inconclusive.
     """
-    pair = _as_pair(h1, h2)
-    n = pair.shape[-1]
+    first, second = _prepared(h1, h2)
+    n = first.m.shape[-1]
     if n not in (6, 12):
         raise OrderUnsupported(f"equivalence decisions support n in (6, 12), got {n}")
     _check_tol(tol)
-    _require_hadamard(pair, tol, ("first matrix", "second matrix"))
+    first.require(tol, _NAMES)
+    second.require(tol, _NAMES[1:])
 
     # inputs Hadamard within tol <= FINGERPRINT_HADAMARD_TOL pass the screen's gate
     screened = screen and (
-        tol <= FINGERPRINT_HADAMARD_TOL or _hadamard_within(pair, FINGERPRINT_HADAMARD_TOL)
+        tol <= FINGERPRINT_HADAMARD_TOL
+        or first.within(FINGERPRINT_HADAMARD_TOL) and second.within(FINGERPRINT_HADAMARD_TOL)
     )
-    if screened and not _directions_match(pair, FINGERPRINT_PRECISION, tol):
+    if screened and not _directions_match(first, second, FINGERPRINT_PRECISION, tol):
         return EquivalenceResult(
             "inequivalent",
             screened_by=f"fingerprint mismatch at precision {FINGERPRINT_PRECISION}",
@@ -159,7 +161,7 @@ def are_equivalent(h1, h2, tol=DEFAULT_TOL, screen=True):
         why = "fingerprint match is necessary but not sufficient" if screened else unsupported
         return EquivalenceResult("inconclusive", screened_by=why)
 
-    w = _exhaustive_witness(*pair, tol)
+    w = _exhaustive_witness(first, second, tol)
     if w is None:
         return EquivalenceResult("inequivalent")
     return EquivalenceResult("equivalent", witness=w)
@@ -169,5 +171,5 @@ def verify_witness(h1, h2, w, tol=DEFAULT_TOL):
     """Max entrywise error of the witness reproduction of h2 from h1, two
     matrices of one order; tol is accepted and unused, and the caller
     compares the error with its own."""
-    h1, h2 = _as_pair(h1, h2)
+    h1, h2 = _as_stack(h1, h2)
     return float(np.abs(apply_equivalence(h1, w) - h2).max())

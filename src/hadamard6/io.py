@@ -106,12 +106,13 @@ def dumps(obj):
 
 
 def read_json(path):
-    """The decoded JSON of a file; nesting too deep to decode is a ValueError."""
+    """The decoded JSON of a file; text that is not JSON, or nesting too deep
+    to decode, is a plain ValueError."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply to decode") from None
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"undecodable JSON: {type(exc).__name__}: {exc}") from None
 
 
 def read_matrix(path):

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FINGERPRINT_HADAMARD_TOL, _anchored_forms, _check_tol, as_matrix, fingerprint
+from .core import FINGERPRINT_HADAMARD_TOL, _check_tol, _Prepared, _prepared, as_matrix, fingerprint
 from .core import fingerprint_distances, modulus_defect, unitarity_defect
 from .equivalence import are_equivalent
 from .errors import NotHadamard, OrderUnsupported, SingularZ
@@ -91,8 +91,9 @@ _PI_GATE = 1e-5
 
 
 def _pi_cells(h):
-    """For each pi-cell of h: its row and its column in the anchored form,
-    off the block, (C, 4) each, and the 4x4 interior the block leaves, (C, 16).
+    """For each pi-cell of h, a matrix or its prepared form: its row and its
+    column in the anchored form, off the block, (C, 4) each, and the 4x4
+    interior the block leaves, (C, 16).
 
     q = core._anchored_forms(h), where q[a, b] is h dephased at the anchor
     (a, b); equivalence moves only permute its cells off row a and column
@@ -102,7 +103,7 @@ def _pi_cells(h):
     block is a pi-cell whose row, column and interior are the member's
     anchored form up to the order of entries and conjugation.
     """
-    q = _anchored_forms(h)
+    q = _prepared(h)[0].forms
     a, b, i, j = np.nonzero(np.abs(q + 1.0) < _PI_GATE)
     forms, cell, line = q[a, b], np.arange(a.size), np.arange(6)
     off_rows = (line != a[:, None]) & (line != i[:, None])
@@ -203,9 +204,12 @@ def classify(h, grid_n=24):
     confirmed in read-off order by exact equivalence at
     FINGERPRINT_HADAMARD_TOL, the tolerance inputs must meet; the first
     confirmed member gives the label, its canonical parameters and its
-    fingerprint distance. grid_n is accepted and unused. Candidates closer
-    together than that tolerance can each confirm, and the first is reported:
-    D6 (0.0,) for dita_d6(1e-8), a = 0.0 for an image of fourier_f6(1.0, 1e-8).
+    fingerprint distance. The input is prepared once (core._Prepared): it is
+    gated once, by fingerprint, and its anchored forms and screen parts are
+    built once for every candidate. grid_n is accepted and unused. Candidates
+    closer together than that tolerance can each confirm, and the first is
+    reported: D6 (0.0,) for dita_d6(1e-8), a = 0.0 for an image of
+    fourier_f6(1.0, 1e-8).
 
     `unknown` is a proof that the input is equivalent to no member of the
     four families. An input equivalent to a member has the image of the
@@ -217,8 +221,8 @@ def classify(h, grid_n=24):
     NotHadamard for the member, as for family_h at (pi/2, pi/2), the H
     read-off of every dita_d6(c): no member lies there. An `unknown` reports
     the least fingerprint distance to the members of _PANEL."""
-    h = as_matrix(h)
-    if h.shape[0] != 6:
+    h = _Prepared(h)
+    if h.m.shape[-1] != 6:
         raise OrderUnsupported("classification is order-6 only")
     # fingerprint's gate is the one classify needs
     fq = fingerprint(h, CLASSIFY_PRECISION)
@@ -226,7 +230,7 @@ def classify(h, grid_n=24):
     for label, read_off, build in _STAGES:
         for p in read_off(*cells):
             try:
-                member = build(*p)
+                member = _Prepared(build(*p))
                 result = are_equivalent(h, member, tol=FINGERPRINT_HADAMARD_TOL)
             except (SingularZ, NotHadamard):
                 continue

@@ -433,11 +433,13 @@ def _matrix_readers(path):
 
 
 def test_deeply_nested_json(tmp_path, capsys):
-    # json.load raised RecursionError, which main did not name
+    # json.load raised RecursionError, which main did not name; and text that
+    # is not JSON exited with the subclass name JSONDecodeError
     path = tmp_path / "deep.json"
-    path.write_text("[" * 200000 + "]" * 200000)
-    for argv in _matrix_readers(path) + [("compose12", "--spec", str(path))]:
-        assert run(capsys, *argv) == (1, "", "ValueError\n")
+    for text in ("[" * 200000 + "]" * 200000, "{"):
+        path.write_text(text)
+        for argv in _matrix_readers(path) + [("compose12", "--spec", str(path))]:
+            assert run(capsys, *argv) == (1, "", "ValueError\n")
 
 
 def test_compose12_wrong_param_count(tmp_path, capsys):

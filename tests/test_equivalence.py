@@ -491,6 +491,37 @@ def test_enumeration_matches_loop_oracle():
     assert seen == {True, False}
 
 
+def _draw_member(data):
+    tag = data.draw(st.sampled_from(sorted(FAMILIES)))
+    try:
+        return FAMILIES[tag][0](*data.draw(FAMILY_BOXES[tag]))
+    except SingularZ:
+        reject()
+
+
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_enumeration_matches_loop_oracle_at_every_tol(data, seed):
+    # the enumeration against the plain nested loop from tolerances far below
+    # the inputs' rounding to ones at which every column matches every
+    # column: a member of any tag, anywhere in its box, against an image of
+    # itself, an image of its transpose, or another tag's member
+    h1 = _draw_member(data)
+    kind = data.draw(st.sampled_from(("image", "transpose", "other")))
+    if kind == "other":
+        h2 = _draw_member(data)
+    else:
+        w = random_witness(6, np.random.default_rng(seed))
+        h2 = apply_equivalence(h1.T if kind == "transpose" else h1, w)
+    tol = data.draw(st.sampled_from((1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 0.05, 0.2)))
+    want = _loop_witness(h1, h2, tol)
+    assert equivalence._exhaustive_witness(h1, h2, tol) == want
+    if want is not None:
+        # the dephased forms agree within 10 tol; mapping them back through
+        # the unit phases adds rounding, which the prune's 1e-12 also allows
+        assert verify_witness(h1, h2, want) <= 10 * tol + 1e-12
+
+
 def _assert_rows_match_alone(h1, h2, w, tol):
     # the premise of matching whole rows: at the witness's anchor, each row of
     # h1's column-permuted form is within 10 tol of exactly one row of the

@@ -27,6 +27,7 @@ from hadamard6 import (
     symmetric_m,
     unitarity_defect,
 )
+from hadamard6 import core, equivalence, search
 from hadamard6.core import FINGERPRINT_HADAMARD_TOL, _anchored_forms, fingerprint_distances
 from hadamard6.families import FAMILIES, _FOURIER_SHIFT, _WRAP_NOISE, _mod_pi
 from hadamard6.search import (
@@ -504,3 +505,41 @@ def test_classify_search_outputs_near_pi():
         assert math.isfinite(c.distance)
     # the nearest has pi-cells within the gate, so its read-off runs
     assert len(_pi_cells(project_search(SearchConfig(rng_seed=NEAR_PI_SEEDS[0])).matrix)[0])
+
+
+def test_classify_prepares_its_input_once(monkeypatch):
+    # one classify call gates its input once, screens it at most once and
+    # builds its anchored forms once, however many candidates it tries. Each
+    # kernel is wrapped in every module that holds it, and a call counts when
+    # one of its matrices is the input (for the screen, its unit entries)
+    counts = {}
+
+    def count(name, part, holds):
+        original = getattr(core, name)
+
+        def wrapper(m, *args, **kwargs):
+            if holds(m, kwargs):
+                counts[part] += 1
+            return original(m, *args, **kwargs)
+
+        for module in (core, equivalence, search):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+    def among(m, target):
+        return any(np.abs(x - target).max() < 1e-12 for x in np.reshape(m, (-1, 6, 6)))
+
+    count("_hadamard_within", "gated", lambda m, kw: among(m, h))
+    count("_quadruple_products", "screened", lambda m, kw: kw.get("quarter") and among(m, h / np.abs(h)))
+    count("_anchored_forms", "anchored", lambda m, kw: among(m, h))
+    rng = np.random.default_rng(31)
+    inputs = [
+        (apply_equivalence(family_h(0.37, 0.21), random_witness(6, rng)), "H-family"),
+        (apply_equivalence(dita_d6(0.3), random_witness(6, rng)), "D6"),
+        # `search --seed 42`: no point is read off it, so nothing reaches the screen
+        (project_search(SearchConfig(rng_seed=42)).matrix, "unknown"),
+    ]
+    for h, label in inputs:
+        counts.update(gated=0, screened=0, anchored=0)
+        assert classify(h).label == label
+        assert counts == {"gated": 1, "screened": int(label != "unknown"), "anchored": 1}
