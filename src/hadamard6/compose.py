@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, _as_stack, _require_hadamard
+from .core import DEFAULT_TOL, _Prepared
 from .errors import UnknownFamily
 from .families import FAMILIES
 from .io import _numbers, wrong_shape
@@ -54,7 +54,7 @@ def _build(family, params):
 
 def block_compose(h1, h2, deltas):
     """[[H1, D H2], [H1, -D H2]] with D = diag(1, e^{i d1}, ..., e^{i d5})."""
-    h1, h2 = _as_stack(h1, h2)
+    h1, h2 = _Prepared(h1, h2).m
     n = h1.shape[0]
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape != (n - 1,):
@@ -73,5 +73,5 @@ def compose12(spec):
     """Build the order-12 Hadamard matrix described by a ComposeSpec."""
     h1 = _build(spec.family1, spec.params1)
     h2 = _build(spec.family2, spec.params2)
-    _require_hadamard(_as_stack(h1, h2), DEFAULT_TOL, ("h1", "h2"))
+    _Prepared(h1, h2).require(DEFAULT_TOL, ("h1", "h2"))
     return block_compose(h1, h2, spec.deltas)

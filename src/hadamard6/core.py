@@ -34,15 +34,6 @@ def as_matrix(m):
     return _as_square(m, (2,))
 
 
-def _as_stack(*ms):
-    """One or two matrices coerced with as_matrix, as one stack (K, n, n);
-    DimensionMismatch unless their orders agree."""
-    ms = tuple(map(as_matrix, ms))
-    if ms[0].shape != ms[-1].shape:
-        raise DimensionMismatch(f"orders differ: {ms[0].shape[0]} vs {ms[-1].shape[0]}")
-    return np.stack(ms)
-
-
 # The two defects of a coerced matrix (n, n) or stack (K, n, n), reduced over
 # the last two axes: a 0-d array for one matrix, one value per matrix of a stack.
 def _modulus_defects(m):
@@ -63,15 +54,6 @@ def _hadamard_within(m, tol):
     """Every matrix of m within tol of Hadamard; the unitarity defect, whose
     product can overflow, is taken only once every modulus passes."""
     return bool((_modulus_defects(m) <= tol).all() and (_unitarity_defects(m) <= tol).all())
-
-
-def _require_hadamard(m, tol, names=("matrix",)):
-    """NotHadamard unless every matrix of a coerced m, (n, n) or a stack
-    (K, n, n), is Hadamard within tol; the message names the first that
-    fails, names[k] for m[k], or the last name once the others pass."""
-    if not _hadamard_within(m, tol):
-        name = next((k for k, x in zip(names[:-1], m) if not _hadamard_within(x, tol)), names[-1])
-        raise NotHadamard(f"{name} is not Hadamard within {tol}")
 
 
 def modulus_defect(m):
@@ -201,15 +183,27 @@ class _Prepared:
     """Matrices of one order, prepared once: their stack m (K, n, n), a copy
     that never aliases a caller's array; the least tolerance their gate has
     passed at, since a pass holds at every larger one; and the parts below,
-    each built the first time it is read. classify prepares its input, and
-    each candidate member, alone; a caller's pair is one stack, so that its
-    gate and its screen each take one pass over both. A decision anchors its
-    first matrix and dephases its second: the first and the last matrix of
-    their stacks."""
+    each built the first time it is read. Every Hadamard gate, and every
+    private helper that reads an input, takes this form. classify prepares
+    its input, and each candidate member, alone; a caller's pair is one
+    stack, so that its gate and its screen each take one pass over both. A
+    decision anchors its first matrix and dephases its second: the first
+    and the last matrix of their stacks. Matrices given one by one are
+    coerced with as_matrix, and DimensionMismatch unless their orders agree."""
 
     def __init__(self, *ms):
-        self.m = _as_stack(*ms)
+        ms = tuple(map(as_matrix, ms))
+        if ms[0].shape != ms[-1].shape:
+            raise DimensionMismatch(f"orders differ: {ms[0].shape[0]} vs {ms[-1].shape[0]}")
+        self.m = np.stack(ms)
         self.passed = np.inf  # the least tol the gate has passed at
+
+    @classmethod
+    def of_stack(cls, stack):
+        """A stack (K, n, n) of K >= 0 matrices, coerced with one copy."""
+        p = cls.__new__(cls)
+        p.m, p.passed = _as_square(stack, (3,)), np.inf
+        return p
 
     def within(self, tol):
         """Every matrix is Hadamard within tol."""
@@ -218,8 +212,12 @@ class _Prepared:
         return tol >= self.passed
 
     def require(self, tol, names=("matrix",)):
+        """The one Hadamard gate: NotHadamard unless every matrix is Hadamard
+        within tol, naming the first that fails: names[k] for m[k], else the
+        last name."""
         if not self.within(tol):
-            _require_hadamard(self.m, tol, names)
+            failing = (k for k, x in zip(names[:-1], self.m) if not _hadamard_within(x, tol))
+            raise NotHadamard(f"{next(failing, names[-1])} is not Hadamard within {tol}")
 
     @cached_property
     def forms(self):
@@ -317,18 +315,13 @@ def _quadruple_products(m, quarter=False):
     return prod.reshape(m.shape[:-2] + (ij.size,))
 
 
-def _quadruple_phases(m):
-    """Unrounded phases in [0, 2pi) of _quadruple_products(m), unsorted: flat
-    for one coerced matrix (n, n), one row per matrix for a stack (K, n, n),
-    and flat for a prepared form's first matrix. Every matrix must be Hadamard
-    within FINGERPRINT_HADAMARD_TOL; a prepared form that passed is not gated
-    again."""
-    if isinstance(m, _Prepared):
-        m.require(FINGERPRINT_HADAMARD_TOL)
-        m = m.m[0]
-    else:
-        _require_hadamard(m, FINGERPRINT_HADAMARD_TOL)
-    theta = np.angle(_quadruple_products(m))
+def _quadruple_phases(p):
+    """Unrounded phases in [0, 2pi) of the quadruple products of a prepared
+    form, unsorted, one row per matrix of its stack. Every matrix must be
+    Hadamard within FINGERPRINT_HADAMARD_TOL; a form that passed is not
+    gated again."""
+    p.require(FINGERPRINT_HADAMARD_TOL)
+    theta = np.angle(_quadruple_products(p.m))
     # np.angle is in [-pi, pi]; this is bitwise `theta % (2 * pi)`, and
     # adding 0.0 turns -0.0 into +0.0 as the remainder does
     return theta + (theta < 0) * (2 * np.pi)
@@ -353,15 +346,15 @@ def fingerprint(m, precision=FINGERPRINT_PRECISION):
     The phases are rounded to precision decimals, from -308 to 307. m is
     one matrix; fingerprint_distances takes a stack.
     """
-    m = m if isinstance(m, _Prepared) else as_matrix(m)
-    return Fingerprint(_rounded_sorted(_quadruple_phases(m), precision), int(precision))
+    p = m if isinstance(m, _Prepared) else _Prepared(m)
+    return Fingerprint(_rounded_sorted(_quadruple_phases(p)[0], precision), int(precision))
 
 
 def fingerprint_distances(stack, fq):
     """Distance to the fingerprint fq from each matrix of a stack (K, n, n),
     as a float array of length K: entry k is bitwise
     fingerprint(stack[k], fq.rounding).distance(fq)."""
-    r = _rounded_sorted(_quadruple_phases(_as_square(stack, (3,))), fq.rounding)
+    r = _rounded_sorted(_quadruple_phases(_Prepared.of_stack(stack)), fq.rounding)
     if r.shape[-1] != len(fq):
         raise DimensionMismatch("fingerprints of different sizes")
     return np.abs(r - fq.phases).sum(axis=-1)

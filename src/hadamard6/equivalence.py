@@ -21,9 +21,9 @@ from .core import (
     FINGERPRINT_HADAMARD_TOL,
     FINGERPRINT_PRECISION,
     EquivalenceWitness,
-    _as_stack,
     _check_precision,
     _check_tol,
+    _Prepared,
     _prepared,
     apply_equivalence,
 )
@@ -94,9 +94,8 @@ def _directions_match(first, second, precision, tol):
     )
 
 
-def _exhaustive_witness(h1, h2, tol):
+def _exhaustive_witness(first, second, tol):
     """First witness in (column-outer, row-inner) lexicographic order, or None."""
-    first, second = _prepared(h1, h2)
     h1, forms = first.m[0], first.forms
     h2d, g2, g1 = second.dephased
     atol = 10.0 * tol
@@ -171,5 +170,5 @@ def verify_witness(h1, h2, w, tol=DEFAULT_TOL):
     """Max entrywise error of the witness reproduction of h2 from h1, two
     matrices of one order; tol is accepted and unused, and the caller
     compares the error with its own."""
-    h1, h2 = _as_stack(h1, h2)
+    h1, h2 = _Prepared(h1, h2).m
     return float(np.abs(apply_equivalence(h1, w) - h2).max())

@@ -220,16 +220,16 @@ def _fourier_canonical(a, b):
 
     a and b may be arrays of one shape, one pair per element; the result is
     two arrays of that shape."""
-    images = []
-    # the identity and the order-3 rotations (a, b) -> (b - a, -a), (-b, a - b)
-    for p, q in ((a, b), (b - a, -a), (-b, a - b)):
-        for u, v in ((p, q), (q, p), (-p, -q), (-q, -p)):
-            for t in (0.0, _FOURIER_SHIFT, 2 * _FOURIER_SHIFT):
-                images.append((u + t, v - t))
-    u, v = _mod_pi(np.array(images)).swapaxes(0, 1)
+    # the identity and the order-3 rotations (a, b) -> (b - a, -a), (-b, a - b),
+    # each swapped, negated or both, then shifted by t: 36 images (u, v)
+    p = np.stack([a, b - a, -b], axis=-1)
+    q = np.stack([b, -a, a - b], axis=-1)
+    t = np.array([0.0, _FOURIER_SHIFT, 2 * _FOURIER_SHIFT])
+    u = _mod_pi(np.concatenate([p, q, -p, -q], axis=-1)[..., None] + t)
+    v = _mod_pi(np.concatenate([q, p, -q, -p], axis=-1)[..., None] - t)
     # the lexicographic least image: the least u, then the least v beside it
-    a = u.min(axis=0)
-    b = np.where(u == a, v, np.inf).min(axis=0)
+    a = u.min(axis=(-2, -1))
+    b = np.where(u == a[..., None, None], v, np.inf).min(axis=(-2, -1))
     return a, np.maximum(b, _mod_pi(a - b))
 
 

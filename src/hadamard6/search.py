@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FINGERPRINT_HADAMARD_TOL, _check_tol, _Prepared, _prepared, as_matrix, fingerprint
+from .core import FINGERPRINT_HADAMARD_TOL, _check_tol, _Prepared, as_matrix, fingerprint
 from .core import fingerprint_distances, modulus_defect, unitarity_defect
 from .equivalence import are_equivalent
 from .errors import NotHadamard, OrderUnsupported, SingularZ
@@ -30,7 +30,7 @@ class SearchConfig:
     def __post_init__(self):
         for name in ("max_iter", "n"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         _check_tol(self.tol)
 
@@ -90,20 +90,20 @@ def project_search(cfg=None):
 _PI_GATE = 1e-5
 
 
-def _pi_cells(h):
-    """For each pi-cell of h, a matrix or its prepared form: its row and its
+def _pi_cells(p):
+    """For each pi-cell of h, the matrix of a prepared form p: its row and its
     column in the anchored form, off the block, (C, 4) each, and the 4x4
     interior the block leaves, (C, 16).
 
-    q = core._anchored_forms(h), where q[a, b] is h dephased at the anchor
-    (a, b); equivalence moves only permute its cells off row a and column
-    b, the quadruple products of h. A pi-cell (a, b, i, j) has
+    q = p.forms, core._anchored_forms(h), where q[a, b] is h dephased at the
+    anchor (a, b); equivalence moves only permute its cells off row a and
+    column b, the quadruple products of h. A pi-cell (a, b, i, j) has
     q[a, b, i, j] within _PI_GATE of -1, so rows a, i and columns b, j of
     q[a, b] are the block [[1, 1], [1, -1]]. The image of a member's own
     block is a pi-cell whose row, column and interior are the member's
     anchored form up to the order of entries and conjugation.
     """
-    q = _prepared(h)[0].forms
+    q = p.forms
     a, b, i, j = np.nonzero(np.abs(q + 1.0) < _PI_GATE)
     forms, cell, line = q[a, b], np.arange(a.size), np.arange(6)
     off_rows = (line != a[:, None]) & (line != i[:, None])
@@ -204,12 +204,12 @@ def classify(h, grid_n=24):
     confirmed in read-off order by exact equivalence at
     FINGERPRINT_HADAMARD_TOL, the tolerance inputs must meet; the first
     confirmed member gives the label, its canonical parameters and its
-    fingerprint distance. The input is prepared once (core._Prepared): it is
-    gated once, by fingerprint, and its anchored forms and screen parts are
-    built once for every candidate. grid_n is accepted and unused. Candidates
-    closer together than that tolerance can each confirm, and the first is
-    reported: D6 (0.0,) for dita_d6(1e-8), a = 0.0 for an image of
-    fourier_f6(1.0, 1e-8).
+    fingerprint distance. The input is prepared once (core._Prepared) and
+    gated once, by fingerprint; _pi_cells and every are_equivalent read the
+    anchored forms and screen parts it builds once. grid_n is accepted and
+    unused. Candidates closer together than that tolerance can each confirm,
+    and the first is reported: D6 (0.0,) for dita_d6(1e-8), a = 0.0 for an
+    image of fourier_f6(1.0, 1e-8).
 
     `unknown` is a proof that the input is equivalent to no member of the
     four families. An input equivalent to a member has the image of the

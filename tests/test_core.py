@@ -32,7 +32,7 @@ from hadamard6 import (
     unitarity_defect,
 )
 from hadamard6 import io
-from hadamard6.core import _quadruple_phases, _unitarity_defects
+from hadamard6.core import _Prepared, _quadruple_phases, _unitarity_defects
 from hadamard6.families import FAMILIES
 
 from conftest import PINNED_MEMBERS, fingerprint_oracle, random_witness
@@ -264,6 +264,9 @@ def test_fingerprint_precision_out_of_range():
             fingerprint_distances(np.stack([h2]), Fingerprint((0.0,) * 4, rounding=400))
     with pytest.raises(DimensionMismatch):  # an order-2 stack against order 6
         fingerprint_distances(np.stack([h2]), fingerprint(F0))
+    # an empty stack has no distances
+    empty = fingerprint_distances(np.empty((0, 6, 6), complex), fingerprint(F0))
+    assert empty.dtype == float and empty.shape == (0,)
 
 
 def test_matrix_json_roundtrip():
@@ -408,12 +411,12 @@ def test_fingerprint_distances_property(members, seed, precision, order):
     stack = np.stack(stack)
     fq = fingerprint(stack[0], precision)
     dists = fingerprint_distances(stack, fq)
-    phases = _quadruple_phases(stack)
+    phases = _quadruple_phases(_Prepared.of_stack(stack))
     assert dists.shape == (len(stack),)
     for k, m in enumerate(stack):
         assert dists[k] == fingerprint(m, precision).distance(fq)
         # bitwise, the sign of zero included
-        assert phases[k].tobytes() == _quadruple_phases(m).tobytes()
+        assert phases[k].tobytes() == _quadruple_phases(_Prepared(m))[0].tobytes()
     assert dists[0] == 0.0
     bad = stack.copy()
     bad[-1, 0, 0] *= 1.5
@@ -449,4 +452,5 @@ def test_quadruple_phases_bits_pinned():
         (dita_d6, (0.3,)): "4582e152641034fde69d9c157b4dd15ec9ae29e531c5a846ec72c13d52de7a52",
     }
     for (build, params), digest in pinned.items():
-        assert hashlib.sha256(_quadruple_phases(build(*params)).tobytes()).hexdigest() == digest
+        phases = _quadruple_phases(_Prepared(build(*params)))[0]
+        assert hashlib.sha256(phases.tobytes()).hexdigest() == digest

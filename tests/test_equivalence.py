@@ -31,6 +31,7 @@ from hadamard6 import equivalence
 from hadamard6.core import (
     FINGERPRINT_PRECISION,
     _anchored_forms,
+    _Prepared,
     _quadruple_phases,
     _quadruple_products,
 )
@@ -235,7 +236,7 @@ def test_witness_within_ten_tol(tag, data, seed):
 def _ordered_screen(h1, h2, tol):
     # the screen over the full ordered multiset, as a reference: sorted
     # cosines and sines of every ordered quadruple phase, the same margin
-    p1, p2 = _quadruple_phases(h1), _quadruple_phases(h2)
+    p1, p2 = _quadruple_phases(_Prepared(h1))[0], _quadruple_phases(_Prepared(h2))[0]
     r = 40.0 * tol
     margin = 10.0**-FINGERPRINT_PRECISION + r * (1.0 + r)
     return all(
@@ -483,7 +484,7 @@ def test_enumeration_matches_loop_oracle():
     for h1, h2 in pairs:
         for tol in (1e-10, 1e-8):
             want = _loop_witness(h1, h2, tol)
-            got = equivalence._exhaustive_witness(h1, h2, tol)
+            got = equivalence._exhaustive_witness(_Prepared(h1), _Prepared(h2), tol)
             assert got == want
             seen.add(want is None)
             if want is not None:
@@ -515,7 +516,7 @@ def test_enumeration_matches_loop_oracle_at_every_tol(data, seed):
         h2 = apply_equivalence(h1.T if kind == "transpose" else h1, w)
     tol = data.draw(st.sampled_from((1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 0.05, 0.2)))
     want = _loop_witness(h1, h2, tol)
-    assert equivalence._exhaustive_witness(h1, h2, tol) == want
+    assert equivalence._exhaustive_witness(_Prepared(h1), _Prepared(h2), tol) == want
     if want is not None:
         # the dephased forms agree within 10 tol; mapping them back through
         # the unit phases adds rounding, which the prune's 1e-12 also allows

@@ -28,7 +28,7 @@ from hadamard6 import (
     unitarity_defect,
 )
 from hadamard6 import core, equivalence, search
-from hadamard6.core import FINGERPRINT_HADAMARD_TOL, _anchored_forms, fingerprint_distances
+from hadamard6.core import FINGERPRINT_HADAMARD_TOL, _anchored_forms, _Prepared, fingerprint_distances
 from hadamard6.families import FAMILIES, _FOURIER_SHIFT, _WRAP_NOISE, _mod_pi
 from hadamard6.search import (
     CLASSIFY_PRECISION,
@@ -67,7 +67,15 @@ def test_config_validation():
         SearchConfig(tol=0.0)
     with pytest.raises(ValueError):
         SearchConfig(tol=float("nan"))
-    for kw in ({"max_iter": float("nan")}, {"max_iter": 2.5}, {"n": -1}, {"n": 0}, {"n": 6.0}):
+    for kw in (
+        {"max_iter": float("nan")},
+        {"max_iter": 2.5},
+        {"max_iter": True},
+        {"n": -1},
+        {"n": 0},
+        {"n": 6.0},
+        {"n": True},
+    ):
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             SearchConfig(**kw)
 
@@ -217,7 +225,7 @@ def test_classify_skips_singular_read_off(monkeypatch):
     # the H read-off of a D6 member is a point where family_h raises, which
     # classify skips: no member lies there
     h = dita_d6(0.3)
-    assert np.array_equal(_h_read_off(*_pi_cells(h)), [(np.pi / 2, np.pi / 2)])
+    assert np.array_equal(_h_read_off(*_pi_cells(_Prepared(h))), [(np.pi / 2, np.pi / 2)])
     with pytest.raises(SingularZ):
         family_h(np.pi / 2, np.pi / 2)
     monkeypatch.setattr("hadamard6.search._STAGES", tuple(s for s in _STAGES if s[0] == "H-family"))
@@ -267,16 +275,16 @@ def test_read_off_holds_member():
         cases["H-family"] += [(family_h(u, v), (abs(u), abs(v))), (family_h(u, v).T, (abs(v), abs(u)))]
     for label, read_off, _ in _STAGES:
         for m, params in cases[label]:
-            points = read_off(*_pi_cells(apply_equivalence(m, random_witness(6, rng))))
+            points = read_off(*_pi_cells(_Prepared(apply_equivalence(m, random_witness(6, rng)))))
             assert np.abs(points - np.array(params)).max(axis=1).min() < 1e-9
 
 
 def test_pi_cells():
     # SPECTRAL_SIX's entries are cube roots of unity, so no quadruple
     # product of them is -1
-    assert _pi_cells(SPECTRAL_SIX)[0].shape == (0, 4)
+    assert _pi_cells(_Prepared(SPECTRAL_SIX))[0].shape == (0, 4)
     h = family_h(0.37, 0.21)
-    rows, cols, interior = _pi_cells(h)
+    rows, cols, interior = _pi_cells(_Prepared(h))
     assert rows.shape == cols.shape == (len(rows), 4) and interior.shape == (len(rows), 16)
     # the block at rows and columns 0, 1: row 1 reads +-z1 and column 1 +-z2
     assert any(
@@ -284,7 +292,7 @@ def test_pi_cells():
         for r, c in zip(rows, cols)
     )
     image = apply_equivalence(h, random_witness(6, np.random.default_rng(4)))
-    assert len(_pi_cells(image)[0]) == len(rows)
+    assert len(_pi_cells(_Prepared(image))[0]) == len(rows)
 
 
 @pytest.mark.parametrize("tag", list(FAMILIES))
@@ -504,7 +512,8 @@ def test_classify_search_outputs_near_pi():
         assert (c.label, c.params) == ("unknown", None)
         assert math.isfinite(c.distance)
     # the nearest has pi-cells within the gate, so its read-off runs
-    assert len(_pi_cells(project_search(SearchConfig(rng_seed=NEAR_PI_SEEDS[0])).matrix)[0])
+    nearest = project_search(SearchConfig(rng_seed=NEAR_PI_SEEDS[0])).matrix
+    assert len(_pi_cells(_Prepared(nearest))[0])
 
 
 def test_classify_prepares_its_input_once(monkeypatch):
