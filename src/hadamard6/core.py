@@ -67,14 +67,15 @@ def unitarity_defect(m):
 
 
 def _check_tol(tol):
-    if not 0 < tol < np.inf:
+    if isinstance(tol, bool) or not 0 < tol < np.inf:
         raise ValueError("tol must be a finite positive number")
 
 
 def _check_precision(precision):
     # beyond these, np.round's scaling by 10**precision overflows near 2pi
-    if not -308 <= precision <= 307:
-        raise ValueError(f"precision must lie in [-308, 307], got {precision}")
+    integer = isinstance(precision, (int, np.integer)) and not isinstance(precision, bool)
+    if not (integer and -308 <= precision <= 307):
+        raise ValueError(f"precision must lie in [-308, 307] and be an integer, got {precision!r}")
 
 
 def is_hadamard(m, tol=DEFAULT_TOL):
@@ -184,12 +185,12 @@ class _Prepared:
     that never aliases a caller's array; the least tolerance their gate has
     passed at, since a pass holds at every larger one; and the parts below,
     each built the first time it is read. Every Hadamard gate, and every
-    private helper that reads an input, takes this form. classify prepares
-    its input, and each candidate member, alone; a caller's pair is one
-    stack, so that its gate and its screen each take one pass over both. A
-    decision anchors its first matrix and dephases its second: the first
-    and the last matrix of their stacks. Matrices given one by one are
-    coerced with as_matrix, and DimensionMismatch unless their orders agree."""
+    private helper that reads an input, takes this form, built only as
+    _Prepared(*ms): each matrix coerced with as_matrix, DimensionMismatch
+    unless their orders agree. classify prepares its input, and each member,
+    alone; fingerprint_distances eight matrices at a time; a caller's pair
+    is one stack, so its gate and its screen each take one pass over both.
+    A decision anchors the first matrix of a stack and dephases the last."""
 
     def __init__(self, *ms):
         ms = tuple(map(as_matrix, ms))
@@ -197,13 +198,6 @@ class _Prepared:
             raise DimensionMismatch(f"orders differ: {ms[0].shape[0]} vs {ms[-1].shape[0]}")
         self.m = np.stack(ms)
         self.passed = np.inf  # the least tol the gate has passed at
-
-    @classmethod
-    def of_stack(cls, stack):
-        """A stack (K, n, n) of K >= 0 matrices, coerced with one copy."""
-        p = cls.__new__(cls)
-        p.m, p.passed = _as_square(stack, (3,)), np.inf
-        return p
 
     def within(self, tol):
         """Every matrix is Hadamard within tol."""
@@ -352,9 +346,18 @@ def fingerprint(m, precision=FINGERPRINT_PRECISION):
 
 def fingerprint_distances(stack, fq):
     """Distance to the fingerprint fq from each matrix of a stack (K, n, n),
-    as a float array of length K: entry k is bitwise
+    K >= 0, coerced whole, as a float array of length K: entry k is bitwise
     fingerprint(stack[k], fq.rounding).distance(fq)."""
-    r = _rounded_sorted(_quadruple_phases(_Prepared.of_stack(stack)), fq.rounding)
-    if r.shape[-1] != len(fq):
+    stack = _as_square(stack, (3,))
+    _check_precision(fq.rounding)
+    n = stack.shape[-1]
+    if (n * (n - 1)) ** 2 != len(fq):
         raise DimensionMismatch("fingerprints of different sizes")
-    return np.abs(r - fq.phases).sum(axis=-1)
+    # the kernel makes a few (K, 900) temporaries at order 6: eight matrices at
+    # a time keep them about 100 KB each, where the 61 members of search._PANEL
+    # at once raise a search process's peak memory by 1.6 MB and run slower
+    out = np.empty(len(stack))
+    for k in range(0, len(stack), 8):
+        r = _rounded_sorted(_quadruple_phases(_Prepared(*stack[k:k + 8])), fq.rounding)
+        out[k:k + 8] = np.abs(r - fq.phases).sum(axis=-1)
+    return out

@@ -25,8 +25,15 @@ X2_PERIOD_ROWS = (0, 1, 5, 4, 3, 2)
 _SINGULAR_GUARD = 1e-12
 
 
+def _require_finite(*angles):
+    """ParamOutOfRange unless every angle is finite."""
+    if not all(map(math.isfinite, angles)):
+        raise ParamOutOfRange(f"angles must be finite, got {angles}")
+
+
 def fourier_f6(a, b):
     """Two-parameter affine orbit of the order-6 Fourier matrix, dephased."""
+    _require_finite(a, b)
     z1, z2 = np.exp(1j * a), np.exp(1j * b)
     f = _SIXTH
     fb = np.conj(f)
@@ -99,6 +106,7 @@ def admissible_sign_patterns():
 
 def z_block(x1, x2):
     """The 2x2 block fixed by the linear unitarity constraints."""
+    _require_finite(x1, x2)
     z1, z2 = np.exp(1j * x1), np.exp(1j * x2)
     z1b, z2b = np.conj(z1), np.conj(z2)
     return np.array(
@@ -131,6 +139,7 @@ def solve_ab(x1, x2, signs=REPRESENTATIVE_SIGNS):
 
 def f_factor(x1, x2):
     """The unit-modulus factor whose four sign images fill the family."""
+    _require_finite(x1, x2)
     # 1 + sin(x1) sin(x2) as a sum of two squares: the plain sum cancels
     # near the corners (+-pi/2, -+pi/2), where the family turns singular
     s1 = math.cos((x1 - x2) / 2) ** 2 + math.sin((x1 + x2) / 2) ** 2
@@ -162,6 +171,7 @@ def _h_layout(z1, z2, a, b):
 
 def family_h(x1, x2):
     """The two-parameter family in its summary form, dephased."""
+    _require_finite(x1, x2)
     z1, z2 = np.exp(1j * x1), np.exp(1j * x2)
     f1 = f_factor(x1, x2)
     f2 = f_factor(x1, -x2)
@@ -185,6 +195,7 @@ def reduce_params(x1, x2):
     apply_equivalence(family_h(*reduced), witness) reproduces
     family_h(x1, x2); boundary ties resolve to +pi/2.
     """
+    _require_finite(x1, x2)
     k1 = math.ceil(x1 / math.pi - 0.5)
     k2 = math.ceil(x2 / math.pi - 0.5)
     r1 = x1 - k1 * math.pi

@@ -180,12 +180,6 @@ _PANEL = (
 )
 
 
-# fingerprint_distances makes a few (K, 900) temporaries: K = 8 keeps them
-# about 100 KB each, where all 61 members at once raise the process's peak
-# memory by about 2.5 MB and run slower
-_PANEL_CHUNK = 8
-
-
 @lru_cache(maxsize=None)
 def _panel_stack():
     """_PANEL's 61 members as one read-only stack (61, 6, 6), built once; each
@@ -237,9 +231,5 @@ def classify(h, grid_n=24):
             if result.decision == "equivalent":
                 distance = fingerprint(member, CLASSIFY_PRECISION).distance(fq)
                 return Classification(label, tuple(float(x) for x in p), float(distance))
-    stack = _panel_stack()
-    distance = min(
-        fingerprint_distances(stack[k:k + _PANEL_CHUNK], fq).min()
-        for k in range(0, len(stack), _PANEL_CHUNK)
-    )
+    distance = fingerprint_distances(_panel_stack(), fq).min()
     return Classification("unknown", None, float(distance))

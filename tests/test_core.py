@@ -87,7 +87,7 @@ def test_is_hadamard():
 
 
 def test_is_hadamard_rejects_non_finite_tol():
-    for tol in (float("nan"), float("inf")):
+    for tol in (float("nan"), float("inf"), True):  # True ran at tol 1.0
         with pytest.raises(ValueError):
             is_hadamard(F0, tol)
 
@@ -257,13 +257,16 @@ def test_fingerprint_precision_out_of_range():
         warnings.simplefilter("error")
         for precision in (307, -308):
             assert np.isfinite(fingerprint(h2, precision).phases).all()
-        for precision in (308, -309, 10**400):
+        # 6.5 raised numpy's TypeError, and True rounded at precision 1
+        for precision in (308, -309, 10**400, 6.5, True):
             with pytest.raises(ValueError):
                 fingerprint(h2, precision)
         with pytest.raises(ValueError):
             fingerprint_distances(np.stack([h2]), Fingerprint((0.0,) * 4, rounding=400))
     with pytest.raises(DimensionMismatch):  # an order-2 stack against order 6
         fingerprint_distances(np.stack([h2]), fingerprint(F0))
+    with pytest.raises(DimensionMismatch):  # an empty order-6 stack against order 2
+        fingerprint_distances(np.empty((0, 6, 6), complex), fingerprint(h2))
     # an empty stack has no distances
     empty = fingerprint_distances(np.empty((0, 6, 6), complex), fingerprint(F0))
     assert empty.dtype == float and empty.shape == (0,)
@@ -399,6 +402,13 @@ def test_fingerprint_oracle_property(family, u, v, seed, precision):
     order=st.sampled_from((6, 12)),
 )
 @example(members=[("h", 0.0, 0.0), ("f6", 0.0, 0.0)], seed=0, precision=8, order=6)
+# ten matrices: fingerprint_distances takes them eight at a time
+@example(
+    members=[("h", 0.3, 0.2), ("f6", 0.1, 0.4), ("d6", 0.5, 0.0), ("h", -0.7, 0.6), ("f6", 0.9, -0.2)],
+    seed=1,
+    precision=6,
+    order=6,
+)
 @settings(max_examples=30, deadline=None)
 def test_fingerprint_distances_property(members, seed, precision, order):
     rng = np.random.default_rng(seed)
@@ -411,7 +421,7 @@ def test_fingerprint_distances_property(members, seed, precision, order):
     stack = np.stack(stack)
     fq = fingerprint(stack[0], precision)
     dists = fingerprint_distances(stack, fq)
-    phases = _quadruple_phases(_Prepared.of_stack(stack))
+    phases = _quadruple_phases(_Prepared(*stack))
     assert dists.shape == (len(stack),)
     for k, m in enumerate(stack):
         assert dists[k] == fingerprint(m, precision).distance(fq)

@@ -234,6 +234,34 @@ def test_border_slices():
         border_h("x3", 0.3)
 
 
+def test_constructors_refuse_non_finite_angles():
+    # only dita_d6 and dita_corner refused these before: the others gave NaN
+    # entries or warned, self_adjoint_h(inf) raised a math domain error and
+    # reduce_params(inf, 0.0) an OverflowError
+    builds = (
+        lambda x: fourier_f6(x, 0.2),
+        lambda x: fourier_f6(0.2, x),
+        lambda x: family_h(x, 0.2),
+        lambda x: family_h(0.2, x),
+        symmetric_m,
+        self_adjoint_h,
+        lambda x: border_h("x1", x),
+        lambda x: border_h("x2", x),
+        lambda x: family_h_with_signs(x, 0.2),
+        lambda x: solve_ab(0.2, x),
+        lambda x: z_block(x, 0.2),
+        lambda x: f_factor(0.2, x),
+        lambda x: reduce_params(x, 0.0),
+        lambda x: reduce_params(0.0, x),
+        dita_d6,
+        dita_corner,
+    )
+    for build in builds:
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParamOutOfRange):
+                build(x)
+
+
 def test_interpolation_path():
     # straight-line parameter path from one member to another stays in the family
     p0, p1 = np.array([0.2, -0.4]), np.array([1.0, 0.8])

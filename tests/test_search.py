@@ -67,6 +67,8 @@ def test_config_validation():
         SearchConfig(tol=0.0)
     with pytest.raises(ValueError):
         SearchConfig(tol=float("nan"))
+    with pytest.raises(ValueError):  # a bool ran at tol 1.0
+        SearchConfig(tol=True)
     for kw in (
         {"max_iter": float("nan")},
         {"max_iter": 2.5},
