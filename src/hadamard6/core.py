@@ -253,12 +253,15 @@ class Fingerprint:
     construction and not a field, holds the same numbers as a read-only
     float array, which `distance` and `fingerprint_distances` read. Pickling
     goes through the constructor, so an unpickled `phases` is read-only too.
+    `rounding` must be a precision that `fingerprint` accepts: an integer,
+    not a bool, in [-308, 307].
     """
 
     values: tuple
     rounding: int
 
     def __post_init__(self):
+        _check_precision(self.rounding)
         phases = np.array(self.values, dtype=float)
         phases.flags.writeable = False
         object.__setattr__(self, "values", tuple(phases.tolist()))
@@ -349,7 +352,6 @@ def fingerprint_distances(stack, fq):
     K >= 0, coerced whole, as a float array of length K: entry k is bitwise
     fingerprint(stack[k], fq.rounding).distance(fq)."""
     stack = _as_square(stack, (3,))
-    _check_precision(fq.rounding)
     n = stack.shape[-1]
     if (n * (n - 1)) ** 2 != len(fq):
         raise DimensionMismatch("fingerprints of different sizes")

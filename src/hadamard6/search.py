@@ -3,6 +3,7 @@ of order-6 matrices against the known families through their 2x2 Hadamard
 sub-blocks."""
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -28,10 +29,10 @@ class SearchConfig:
     n: int = 6
 
     def __post_init__(self):
-        for name in ("max_iter", "n"):
+        for name, least in (("rng_seed", 0), ("max_iter", 1), ("n", 1)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         _check_tol(self.tol)
 
 
@@ -54,15 +55,76 @@ def _defect(m):
     return max(modulus_defect(m), unitarity_defect(m))
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uniforms(seed, count):
+    """The first count doubles of numpy.random.default_rng(seed).random(), bit
+    for bit, for an integer seed >= 0, in pure integer arithmetic: importing
+    numpy.random would add about 6 MB and 13 ms to a CLI process that needs
+    36 doubles. numpy's SeedSequence(seed) hashes the seed's little-endian
+    32-bit words into a pool of four and draws 8 words from it, the 128-bit
+    state and increment of PCG64 (O'Neill 2014); each output is the XSL-RR of
+    the stepped state, and each double its top 53 bits."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"rng_seed must be an integer >= 0, got {seed!r}")
+    words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    const, state = 0x8B51F9DD, []
+    for k in range(8):
+        v = pool[k % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        v = v * const & _M32
+        state.append(v ^ v >> 16)
+    # four 64-bit words, low half first: the state's high and low, then the
+    # increment's
+    s_hi, s_lo, i_hi, i_lo = (state[k] | state[k + 1] << 32 for k in range(0, 8, 2))
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+    s = (inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc & _M128
+    out = []
+    for _ in range(count):
+        s = s * _PCG64_MULT + inc & _M128
+        x, r = ((s >> 64) ^ s) & _M64, s >> 122
+        x = (x >> r | x << (64 - r)) & _M64
+        out.append((x >> 11) * 2.0**-53)
+    return out
+
+
 def project_search(cfg=None):
     """Alternate unimodular phase normalization with the nearest
-    sqrt(n)-scaled unitary (polar factor). Deterministic in rng_seed."""
+    sqrt(n)-scaled unitary (polar factor), from cfg.seed_matrix if given,
+    else from exp(2 pi i u) for the uniforms u that
+    numpy.random.default_rng(cfg.rng_seed).random((n, n)) draws, bit for
+    bit, though numpy.random is not imported. Deterministic in rng_seed, an
+    integer >= 0."""
     cfg = cfg or SearchConfig()
     if cfg.seed_matrix is not None:
         m = as_matrix(cfg.seed_matrix)
     else:
-        rng = np.random.default_rng(cfg.rng_seed)
-        m = np.exp(2j * np.pi * rng.random((cfg.n, cfg.n)))
+        u = np.array(_uniforms(cfg.rng_seed, cfg.n * cfg.n)).reshape(cfg.n, cfg.n)
+        m = np.exp(2j * np.pi * u)
     n = m.shape[0]
     root_n = math.sqrt(n)
     d = _defect(m)
@@ -115,9 +177,13 @@ def _pi_cells(p):
 
 
 def _unique(points):
-    """The points (K, d) whose rounding to 9 digits is new, in order."""
-    _, first = np.unique(np.round(points, 9), axis=0, return_index=True)
-    return points[np.sort(first)]
+    """The points (K, d) whose rounding to 9 digits is new, in order: the
+    first row of each rounded value, compared as floats, so -0.0 and 0.0 are
+    one value, as np.unique(axis=0) has them, without its fixed cost."""
+    first = {}
+    for k, row in enumerate(np.round(points, 9).tolist()):
+        first.setdefault(tuple(row), k)
+    return points[list(first.values())]
 
 
 def _half_angles(z):
@@ -200,10 +266,10 @@ def classify(h, grid_n=24):
     confirmed member gives the label, its canonical parameters and its
     fingerprint distance. The input is prepared once (core._Prepared) and
     gated once, by fingerprint; _pi_cells and every are_equivalent read the
-    anchored forms and screen parts it builds once. grid_n is accepted and
-    unused. Candidates closer together than that tolerance can each confirm,
-    and the first is reported: D6 (0.0,) for dita_d6(1e-8), a = 0.0 for an
-    image of fourier_f6(1.0, 1e-8).
+    anchored forms and screen parts it builds once, and each read-off runs
+    at most once. grid_n is accepted and unused. Candidates closer together
+    than that tolerance can each confirm, and the first is reported: D6
+    (0.0,) for dita_d6(1e-8), a = 0.0 for an image of fourier_f6(1.0, 1e-8).
 
     `unknown` is a proof that the input is equivalent to no member of the
     four families. An input equivalent to a member has the image of the
@@ -220,9 +286,11 @@ def classify(h, grid_n=24):
         raise OrderUnsupported("classification is order-6 only")
     # fingerprint's gate is the one classify needs
     fq = fingerprint(h, CLASSIFY_PRECISION)
-    cells = _pi_cells(h)
+    cells, points = _pi_cells(h), {}
     for label, read_off, build in _STAGES:
-        for p in read_off(*cells):
+        if read_off not in points:
+            points[read_off] = read_off(*cells)
+        for p in points[read_off]:
             try:
                 member = _Prepared(build(*p))
                 result = are_equivalent(h, member, tol=FINGERPRINT_HADAMARD_TOL)

@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from hadamard6 import (
     self_adjoint_h,
     symmetric_m,
 )
-from hadamard6 import errors, io
+from hadamard6 import cli, errors, io
 from hadamard6.cli import main
 from hadamard6.families import FAMILIES
 from hadamard6.search import SearchConfig, project_search
@@ -276,6 +280,27 @@ def test_search_near_pi_output(capsys):
     code, out, err = run(capsys, "search", "--seed", "919476259")
     assert (code, err) == (0, "")
     assert json.loads(out)["classification"]["label"] == "unknown"
+
+
+def test_search_bad_seed_exit(capsys):
+    assert run(capsys, "search", "--seed", "-1") == (1, "", "ValueError\n")
+
+
+def test_search_does_not_import_numpy_random():
+    # numpy.random would add about 6 MB to the peak memory of a search
+    # process; a numpy that imports it along with itself is not at fault
+    code = (
+        "import contextlib, io, sys, numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "from hadamard6.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['search', '--seed', '42'])\n"
+        "sys.exit(code or ('numpy.random' in sys.modules and not eager))\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_search_deterministic(capsys):

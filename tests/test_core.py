@@ -236,6 +236,14 @@ def test_fingerprint_contract():
     assert fp.distance(other) == tuple_l1
 
 
+def test_fingerprint_rounding_checked():
+    # each built before, and True compared and hashed equal to rounding 1
+    for rounding in (6.5, True, 400, -309, "6", None):
+        with pytest.raises(ValueError, match="precision must lie in"):
+            Fingerprint((0.0,) * 4, rounding=rounding)
+    assert Fingerprint((0.0,) * 4, rounding=np.int64(6)) == Fingerprint((0.0,) * 4, rounding=6)
+
+
 def test_fingerprint_is_a_dataclass():
     fp = fingerprint(family_h(0.37, 0.21), 6)
     assert [f.name for f in dataclasses.fields(fp)] == ["values", "rounding"]

@@ -80,6 +80,32 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             SearchConfig(**kw)
+    # None, True and [1, 2] ran through numpy's default_rng; 1.5 and "3"
+    # raised its TypeError in project_search
+    for seed in (-1, True, None, 1.5, "3", [1, 2]):
+        with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
+            SearchConfig(rng_seed=seed)
+    assert SearchConfig(rng_seed=np.int64(5)).rng_seed == 5
+
+
+# seeds 0-299, 500 below 2**31 - 1, and seeds of 2, 3 and 7 32-bit words:
+# SeedSequence mixes the words beyond four into its pool in a second pass
+_SEED_PANEL = (
+    list(range(300))
+    + np.random.default_rng(2024).integers(0, 2**31 - 1, 500).tolist()
+    + [2**32, 2**64 + 3, 2**200 + 17, np.int64(5)]
+)
+
+
+def test_uniforms_match_default_rng():
+    # the start matrices project_search draws without numpy.random are
+    # numpy's, bit for bit
+    for s in _SEED_PANEL:
+        assert search._uniforms(s, 36) == np.random.default_rng(s).random(36).tolist(), s
+    assert search._uniforms(7, 2000) == np.random.default_rng(7).random(2000).tolist()
+    assert search._uniforms(7, 0) == []
+    with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
+        search._uniforms(-1, 1)  # a negative seed has no last 32-bit word
 
 
 def test_fixed_point_detected_without_iterating():
@@ -257,6 +283,8 @@ def test_unique_keeps_first_occurrences_in_order():
     points = np.array([[0.3 + 1e-11, 0.1], [0.2, 0.5], [0.3, 0.1 + 1e-12], [0.1, 0.0], [0.2, 0.5]])
     # rows equal after rounding to 9 digits merge into the first, unrounded
     assert np.array_equal(_unique(points), points[[0, 1, 3]])
+    # -1e-12 rounds to -0.0, one value with 0.0
+    assert np.array_equal(_unique(np.array([[-1e-12], [0.0]])), [[-1e-12]])
     for d in (1, 2):
         assert _unique(np.zeros((0, d))).shape == (0, d)
 
