@@ -14,7 +14,7 @@ from .io import _numbers, wrong_shape
 _TWO_PARAMETER = {t: f for t, f in FAMILIES.items() if len(f[1]) == 2 and "axis" not in f[1]}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComposeSpec:
     family1: str
     params1: tuple

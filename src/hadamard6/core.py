@@ -67,7 +67,7 @@ def unitarity_defect(m):
 
 
 def _check_tol(tol):
-    if isinstance(tol, bool) or not 0 < tol < np.inf:
+    if isinstance(tol, (bool, np.bool_)) or not 0 < tol < np.inf:
         raise ValueError("tol must be a finite positive number")
 
 
@@ -325,8 +325,7 @@ def _quadruple_phases(p):
 
 
 def _rounded_sorted(theta, precision):
-    """Round phases to precision and sort along the last axis."""
-    _check_precision(precision)
+    """Round phases to a checked precision and sort along the last axis."""
     r = np.round(theta, precision)
     # rounding can push a phase just below 2pi up onto the branch cut
     r[r >= round(2 * np.pi, precision)] = 0.0
@@ -343,6 +342,7 @@ def fingerprint(m, precision=FINGERPRINT_PRECISION):
     The phases are rounded to precision decimals, from -308 to 307. m is
     one matrix; fingerprint_distances takes a stack.
     """
+    _check_precision(precision)
     p = m if isinstance(m, _Prepared) else _Prepared(m)
     return Fingerprint(_rounded_sorted(_quadruple_phases(p)[0], precision), int(precision))
 

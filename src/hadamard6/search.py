@@ -11,8 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FINGERPRINT_HADAMARD_TOL, _check_tol, _Prepared, as_matrix, fingerprint
-from .core import fingerprint_distances, modulus_defect, unitarity_defect
+from .core import FINGERPRINT_HADAMARD_TOL, _check_tol, _modulus_defects, _Prepared, _unitarity_defects
+from .core import as_matrix, fingerprint, fingerprint_distances
 from .equivalence import are_equivalent
 from .errors import NotHadamard, OrderUnsupported, SingularZ
 from .families import FAMILIES, _fourier_canonical, dita_d6, family_h, fourier_f6
@@ -20,7 +20,7 @@ from .families import FAMILIES, _fourier_canonical, dita_d6, family_h, fourier_f
 CLASSIFY_PRECISION = 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
     rng_seed: int = 0
     tol: float = 1e-8
@@ -36,7 +36,7 @@ class SearchConfig:
         _check_tol(self.tol)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchResult:
     matrix: np.ndarray
     iterations: int
@@ -44,7 +44,7 @@ class SearchResult:
     converged: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class Classification:
     label: str  # F6-slice | F6T-slice | H-family | D6 | unknown
     params: Optional[tuple]
@@ -52,7 +52,7 @@ class Classification:
 
 
 def _defect(m):
-    return max(modulus_defect(m), unitarity_defect(m))
+    return max(float(_modulus_defects(m)), float(_unitarity_defects(m)))
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -68,8 +68,6 @@ def _uniforms(seed, count):
     state and increment of PCG64 (O'Neill 2014); each output is the XSL-RR of
     the stepped state, and each double its top 53 bits."""
     seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"rng_seed must be an integer >= 0, got {seed!r}")
     words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
     const = 0x43B0D7E5
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hadamard6
 from hadamard6 import (
     DimensionMismatch,
     EquivalenceWitness,
@@ -87,7 +88,7 @@ def test_is_hadamard():
 
 
 def test_is_hadamard_rejects_non_finite_tol():
-    for tol in (float("nan"), float("inf"), True):  # True ran at tol 1.0
+    for tol in (float("nan"), float("inf"), True, np.True_):  # each bool ran at tol 1.0
         with pytest.raises(ValueError):
             is_hadamard(F0, tol)
 
@@ -244,6 +245,23 @@ def test_fingerprint_rounding_checked():
     assert Fingerprint((0.0,) * 4, rounding=np.int64(6)) == Fingerprint((0.0,) * 4, rounding=6)
 
 
+def test_exported_dataclasses_are_frozen():
+    exported = [getattr(hadamard6, name) for name in hadamard6.__all__]
+    classes = {c.__name__: c for c in exported if isinstance(c, type) and dataclasses.is_dataclass(c)}
+    assert sorted(classes) == [
+        "Classification",
+        "ComposeSpec",
+        "EquivalenceResult",
+        "EquivalenceWitness",
+        "Fingerprint",
+        "SearchConfig",
+        "SearchResult",
+        "SignPattern",
+    ]
+    for name, cls in classes.items():
+        assert cls.__dataclass_params__.frozen, name
+
+
 def test_fingerprint_is_a_dataclass():
     fp = fingerprint(family_h(0.37, 0.21), 6)
     assert [f.name for f in dataclasses.fields(fp)] == ["values", "rounding"]
@@ -271,6 +289,10 @@ def test_fingerprint_precision_out_of_range():
                 fingerprint(h2, precision)
         with pytest.raises(ValueError):
             fingerprint_distances(np.stack([h2]), Fingerprint((0.0,) * 4, rounding=400))
+    # the precision is checked before the gate: this raised NotHadamard, where
+    # fingerprint_match raised ValueError
+    with pytest.raises(ValueError, match="precision must lie in"):
+        fingerprint(np.eye(6), 400)
     with pytest.raises(DimensionMismatch):  # an order-2 stack against order 6
         fingerprint_distances(np.stack([h2]), fingerprint(F0))
     with pytest.raises(DimensionMismatch):  # an empty order-6 stack against order 2

@@ -65,6 +65,9 @@ def test_fourier_vs_dita_inequivalent():
     res = are_equivalent(f, d, screen=False)
     assert res.decision == "inequivalent"
     assert res.screened_by is None
+    # a numpy bool ran at tol 1.0 and answered equivalent, with the identity
+    with pytest.raises(ValueError, match="tol must be a finite positive number"):
+        are_equivalent(f, d, tol=np.True_)
 
 
 def test_fingerprint_match():

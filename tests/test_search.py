@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -67,8 +68,9 @@ def test_config_validation():
         SearchConfig(tol=0.0)
     with pytest.raises(ValueError):
         SearchConfig(tol=float("nan"))
-    with pytest.raises(ValueError):  # a bool ran at tol 1.0
-        SearchConfig(tol=True)
+    for tol in (True, np.True_):  # each bool ran at tol 1.0
+        with pytest.raises(ValueError, match="tol must be a finite positive number"):
+            SearchConfig(tol=tol)
     for kw in (
         {"max_iter": float("nan")},
         {"max_iter": 2.5},
@@ -88,6 +90,22 @@ def test_config_validation():
     assert SearchConfig(rng_seed=np.int64(5)).rng_seed == 5
 
 
+def test_config_is_checked_once_where_built():
+    # an assigned tol = True converged at 0 iterations with a defect of 0.884,
+    # and n = True raised a raw TypeError in project_search
+    cfg = SearchConfig()
+    for name, value in (("tol", True), ("max_iter", 0), ("n", True)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert cfg == SearchConfig()
+    # replace builds a new config, and so checks it
+    with pytest.raises(ValueError, match="tol must be a finite positive number"):
+        dataclasses.replace(cfg, tol=True)
+    with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
+        dataclasses.replace(cfg, rng_seed=-1)
+    assert dataclasses.replace(cfg, rng_seed=3) == SearchConfig(rng_seed=3)
+
+
 # seeds 0-299, 500 below 2**31 - 1, and seeds of 2, 3 and 7 32-bit words:
 # SeedSequence mixes the words beyond four into its pool in a second pass
 _SEED_PANEL = (
@@ -104,8 +122,6 @@ def test_uniforms_match_default_rng():
         assert search._uniforms(s, 36) == np.random.default_rng(s).random(36).tolist(), s
     assert search._uniforms(7, 2000) == np.random.default_rng(7).random(2000).tolist()
     assert search._uniforms(7, 0) == []
-    with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
-        search._uniforms(-1, 1)  # a negative seed has no last 32-bit word
 
 
 def test_fixed_point_detected_without_iterating():
